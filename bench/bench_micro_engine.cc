@@ -379,7 +379,7 @@ runSteadySmoke(const std::string& path)
 
         // Coverage-on datapoint: the same fast-path evaluation with
         // the coverage ledger observing every body, i.e. the per-
-        // evaluation cost a run with <output coverage="true"/> pays.
+        // evaluation cost the always-on coverage ledger adds.
         attribution::CoverageLedger ledger(lib);
         double fast_cov_eps;
         {

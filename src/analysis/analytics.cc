@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <sstream>
 #include <unordered_map>
 
 #include "util/fileutil.hh"
@@ -155,27 +155,58 @@ computeAnalytics(const isa::InstructionLibrary& lib,
     return row;
 }
 
-AnalyticsWriter::AnalyticsWriter(std::string path)
-    : _path(std::move(path))
-{}
-
 void
-AnalyticsWriter::append(const AnalyticsRow& row)
+tallyOperatorEfficacy(AnalyticsRow& row,
+                      const std::vector<LineageEvent>& births,
+                      const LineageLedger& ledger)
 {
-    std::ofstream out(_path, _started ? std::ios::app : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", _path);
-    if (!_started) {
-        out << "# gest-analytics v" << analyticsCsvVersion << "\n";
-        out << "generation";
-        for (const char* column : kMixColumns)
-            out << ',' << column;
-        out << ",gene_entropy_bits,pairwise_diversity,fitness_min,"
-               "fitness_q1,fitness_median,fitness_q3,fitness_max,"
-               "crossover_children,crossover_improved,mutation_children,"
-               "mutation_improved,elite_copies\n";
-        _started = true;
+    for (const LineageEvent& event : births) {
+        switch (event.op) {
+          case BirthOp::Crossover:
+          case BirthOp::Mutation: {
+            const bool crossed = event.op == BirthOp::Crossover;
+            double p1 = 0.0, p2 = 0.0;
+            // Parents are in an earlier sealed generation; efficacy is
+            // only chartable when both fitnesses are on record (a
+            // resumed run's pre-ledger ancestors are not).
+            if (!ledger.fitnessOf(event.parent1, p1) ||
+                !ledger.fitnessOf(event.parent2, p2))
+                break;
+            (crossed ? row.crossoverChildren : row.mutationChildren)++;
+            if (event.fitness > p1 && event.fitness > p2)
+                (crossed ? row.crossoverImproved
+                         : row.mutationImproved)++;
+            break;
+          }
+          case BirthOp::EliteCopy:
+            ++row.eliteCopies;
+            break;
+          case BirthOp::Seed:
+          case BirthOp::Resumed:
+            break;
+        }
     }
+}
+
+std::string
+analyticsCsvHeader()
+{
+    std::string out = "# gest-analytics v" +
+                      std::to_string(analyticsCsvVersion) +
+                      "\ngeneration";
+    for (const char* column : kMixColumns)
+        out += std::string(",") + column;
+    out += ",gene_entropy_bits,pairwise_diversity,fitness_min,"
+           "fitness_q1,fitness_median,fitness_q3,fitness_max,"
+           "crossover_children,crossover_improved,mutation_children,"
+           "mutation_improved,elite_copies\n";
+    return out;
+}
+
+std::string
+formatAnalyticsRow(const AnalyticsRow& row)
+{
+    std::ostringstream out;
     out.precision(17);
     out << row.generation;
     for (const std::uint64_t count : row.classMix)
@@ -186,6 +217,7 @@ AnalyticsWriter::append(const AnalyticsRow& row)
         << row.fitnessMax << ',' << row.crossoverChildren << ','
         << row.crossoverImproved << ',' << row.mutationChildren << ','
         << row.mutationImproved << ',' << row.eliteCopies << '\n';
+    return out.str();
 }
 
 std::vector<AnalyticsRow>

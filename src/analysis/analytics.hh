@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lineage.hh"
 #include "core/population.hh"
 #include "isa/library.hh"
 
@@ -86,25 +87,25 @@ double pairwiseDiversity(const core::Population& pop);
 
 /**
  * Compute the population-derived fields of an AnalyticsRow (operator
- * efficacy stays zero; the recorder fills it from the ledger).
+ * efficacy stays zero; tallyOperatorEfficacy fills it).
  */
 AnalyticsRow computeAnalytics(const isa::InstructionLibrary& lib,
                               const core::Population& pop);
 
-/** Appends analytics.csv rows (version comment + header on first). */
-class AnalyticsWriter
-{
-  public:
-    explicit AnalyticsWriter(std::string path);
+/**
+ * Fill @p row's operator-efficacy columns from one generation's sealed
+ * @p births: offspring per operator, how many beat both parents (only
+ * when both parents' fitness is in @p ledger) and elite copies.
+ */
+void tallyOperatorEfficacy(AnalyticsRow& row,
+                           const std::vector<LineageEvent>& births,
+                           const LineageLedger& ledger);
 
-    void append(const AnalyticsRow& row);
+/** The analytics.csv version and column header lines. */
+std::string analyticsCsvHeader();
 
-    const std::string& path() const { return _path; }
-
-  private:
-    std::string _path;
-    bool _started = false;
-};
+/** @p row as one analytics.csv line. */
+std::string formatAnalyticsRow(const AnalyticsRow& row);
 
 /** Parse analytics.csv text; fatal() on malformed rows. */
 std::vector<AnalyticsRow> parseAnalytics(const std::string& text);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
@@ -44,22 +43,6 @@ compactDouble(double v)
 HealthWatchdog::HealthWatchdog(HealthRules rules) : _rules(rules) {}
 
 void
-HealthWatchdog::setCsvPath(std::string path)
-{
-    _csvPath = std::move(path);
-    writeFile(_csvPath,
-              std::string("# gest-alerts v") +
-                  std::to_string(alertsVersion) + "\n" + alertsHeader);
-}
-
-void
-HealthWatchdog::noteCoverage(int generation, std::uint64_t new_cells)
-{
-    _coverageTickGeneration = generation;
-    _coverageNewCells = new_cells;
-}
-
-void
 HealthWatchdog::raise(int generation, const char* rule,
                       const char* severity, double value,
                       double threshold, std::string message)
@@ -78,25 +61,15 @@ HealthWatchdog::raise(int generation, const char* rule,
         .counter("health.alerts", "alerts raised by the GA watchdog")
         .inc();
 
-    if (!_csvPath.empty()) {
-        std::ofstream out(_csvPath, std::ios::app);
-        if (out) {
-            char prefix[128];
-            std::snprintf(prefix, sizeof(prefix), "%d,%s,%s,%.9g,%.9g,",
-                          generation, rule, severity, value, threshold);
-            out << prefix << alert.message << "\n";
-        }
-    }
-    _alerts.push_back(alert);
-    if (_listener)
-        _listener(_alerts.back());
+    _alerts.push_back(std::move(alert));
 }
 
-void
-HealthWatchdog::onGenerationEvaluated(const core::Population& pop,
-                                      const core::GenerationRecord& rec)
+std::vector<Alert>
+HealthWatchdog::onGenerationEvaluated(
+    const core::GenerationRecord& rec,
+    const attribution::CoverageLedger::Snapshot& coverage)
 {
-    (void)pop;
+    const std::size_t before = _alerts.size();
     ++_generationsSeen;
     _totalHits += rec.cacheHits;
     _totalMisses += rec.cacheMisses;
@@ -177,12 +150,12 @@ HealthWatchdog::onGenerationEvaluated(const core::Population& pop,
     }
 
     // coverage_stall: consecutive generations whose coverage tick
-    // reported zero new cells. Generations without a tick (ledger off)
+    // reported zero new cells. Generations without a matching tick
     // never arm the rule.
     if (_rules.coverageStallGenerations > 0 &&
-        _coverageTickGeneration == rec.generation) {
+        coverage.generation == rec.generation) {
         _coverageStallStreak =
-            _coverageNewCells == 0 ? _coverageStallStreak + 1 : 0;
+            coverage.newCells == 0 ? _coverageStallStreak + 1 : 0;
         if (!_coverageFired &&
             _coverageStallStreak >= _rules.coverageStallGenerations) {
             _coverageFired = true;
@@ -249,15 +222,8 @@ HealthWatchdog::onGenerationEvaluated(const core::Population& pop,
         }
         _workerBusyTotals = std::move(totals);
     }
-}
-
-core::Engine::GenerationCallback
-HealthWatchdog::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        onGenerationEvaluated(pop, record);
-    };
+    return {_alerts.begin() + static_cast<std::ptrdiff_t>(before),
+            _alerts.end()};
 }
 
 HealthSummary
@@ -312,6 +278,23 @@ loadAlerts(const std::string& run_dir, std::vector<Alert>& out)
         out.push_back(std::move(alert));
     }
     return true;
+}
+
+std::string
+alertsCsvHeader()
+{
+    return "# gest-alerts v" + std::to_string(alertsVersion) + "\n" +
+           alertsHeader;
+}
+
+std::string
+formatAlertCsvRow(const Alert& alert)
+{
+    char prefix[128];
+    std::snprintf(prefix, sizeof(prefix), "%d,%s,%s,%.9g,%.9g,",
+                  alert.generation, alert.rule.c_str(),
+                  alert.severity.c_str(), alert.value, alert.threshold);
+    return prefix + alert.message + "\n";
 }
 
 std::string

@@ -1,33 +1,33 @@
 /**
  * @file
- * The GA health watchdog: a generation observer that evaluates a small
+ * The GA health watchdog: a per-generation deriver that evaluates a small
  * set of declarative rules against the run as it unfolds and raises
  * alerts when the search looks sick — the campaign-level counterpart
  * of `gest explain`'s post-mortem pathology detection.
  *
  * The watchdog is strictly observational: it reads the per-generation
- * record (plus the coverage ledger's tick and the stats registry's
- * worker counters), never touches the GA RNG or the population, and
- * runs on the coordinator thread after the generation is sealed, so
- * every other artifact is byte-identical with the watchdog on or off.
+ * record, the generation's coverage tick and the stats registry's
+ * worker counters, never touches the GA RNG or the population, and
+ * runs on the coordinator thread after the generation is sealed.
  *
  * Each rule *latches*: it raises at most one alert per run, when its
  * condition first holds, so a stuck run produces one actionable line
- * per failure mode instead of one per generation. Alerts land in three
- * places: an append-only `# gest-alerts v1` alerts.csv in the run
- * directory, an `alerts` block in the status.json heartbeat, and — when
- * the run listens — the /alerts endpoint plus `alert` SSE events (see
- * docs/fleet.md, "Alert rules").
+ * per failure mode instead of one per generation. The run pipeline
+ * carries each generation's alerts to an append-only
+ * `# gest-alerts v1` alerts.csv in the run directory, an `alerts` block
+ * in the status.json heartbeat and — when the run listens — the
+ * /alerts endpoint plus `alert` SSE events (see docs/fleet.md, "Alert
+ * rules").
  */
 
 #ifndef GEST_ANALYSIS_HEALTH_HH
 #define GEST_ANALYSIS_HEALTH_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "attribution/coverage.hh"
 #include "core/engine.hh"
 
 namespace gest {
@@ -69,8 +69,8 @@ struct HealthRules
 
     /**
      * "coverage_stall": the coverage ledger reported zero new cells
-     * for this many consecutive generations. Only armed when the run
-     * records coverage (noteCoverage is fed).
+     * for this many consecutive generations. Only generations whose
+     * coverage tick matches their number count.
      */
     int coverageStallGenerations = 25;
 
@@ -112,39 +112,14 @@ class HealthWatchdog
     explicit HealthWatchdog(HealthRules rules = HealthRules());
 
     /**
-     * Write alerts to @p path as `# gest-alerts v1` CSV. The header is
-     * written immediately, so a clean run with the watchdog on leaves
-     * a schema-valid, zero-row ledger that proves "no alerts" rather
-     * than "not watched".
+     * Evaluate every rule against the sealed generation @p record and
+     * its @p coverage tick (a tick whose generation differs — e.g. a
+     * default-constructed one — leaves coverage_stall untouched).
+     * @return the alerts raised by this generation.
      */
-    void setCsvPath(std::string path);
-
-    const std::string& csvPath() const { return _csvPath; }
-
-    /**
-     * Observe every raised alert (the run driver forwards them to the
-     * telemetry service). Called on the coordinator thread, before the
-     * same generation's telemetry observer runs.
-     */
-    void setAlertListener(std::function<void(const Alert&)> fn)
-    {
-        _listener = std::move(fn);
-    }
-
-    /**
-     * Feed one coverage-ledger tick (the coverage observer runs before
-     * this watchdog's, so the tick for generation N is already in when
-     * onGenerationEvaluated(N) fires). Never calling this leaves the
-     * coverage_stall rule disarmed.
-     */
-    void noteCoverage(int generation, std::uint64_t new_cells);
-
-    /** Evaluate every rule against the sealed generation. */
-    void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record);
-
-    /** An engine generation observer bound to this watchdog. */
-    core::Engine::GenerationCallback observer();
+    std::vector<Alert> onGenerationEvaluated(
+        const core::GenerationRecord& record,
+        const attribution::CoverageLedger::Snapshot& coverage = {});
 
     const std::vector<Alert>& alerts() const { return _alerts; }
 
@@ -157,8 +132,6 @@ class HealthWatchdog
                double value, double threshold, std::string message);
 
     HealthRules _rules;
-    std::string _csvPath;
-    std::function<void(const Alert&)> _listener;
     std::vector<Alert> _alerts;
 
     // Per-rule latches: one alert per run per failure mode.
@@ -183,8 +156,6 @@ class HealthWatchdog
     int _generationsSeen = 0;
 
     // coverage_stall state.
-    int _coverageTickGeneration = -1;
-    std::uint64_t _coverageNewCells = 0;
     int _coverageStallStreak = 0;
 
     // worker_starvation state.
@@ -197,6 +168,12 @@ class HealthWatchdog
  * fatal() when it exists but is malformed or a later schema version.
  */
 bool loadAlerts(const std::string& run_dir, std::vector<Alert>& out);
+
+/** The alerts.csv version and column header lines. */
+std::string alertsCsvHeader();
+
+/** @p alert as one alerts.csv line. */
+std::string formatAlertCsvRow(const Alert& alert);
 
 /** One alert as a JSON object (the /alerts rows and SSE payloads). */
 std::string formatAlertJson(const Alert& alert);

@@ -1,7 +1,7 @@
 #include "analysis/lineage.hh"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 #include "util/fileutil.hh"
@@ -35,43 +35,49 @@ birthOpFromString(std::string_view s, BirthOp& out)
     return false;
 }
 
-LineageLedger::LineageLedger(std::string path) : _path(std::move(path)) {}
-
-void
-LineageLedger::recordBirth(LineageEvent event)
-{
-    _pending.push_back(std::move(event));
-}
-
 std::vector<LineageEvent>
-LineageLedger::sealGeneration(const core::Population& pop)
+LineageLedger::seal(const core::GenerationView& view)
 {
     std::unordered_map<std::uint64_t, double> generation_fitness;
-    generation_fitness.reserve(pop.individuals.size());
-    for (const core::Individual& ind : pop.individuals) {
+    generation_fitness.reserve(view.population.individuals.size());
+    for (const core::Individual& ind : view.population.individuals) {
         if (ind.evaluated)
             generation_fitness.emplace(ind.id, ind.fitness);
     }
 
-    std::ofstream out(_path, _started ? std::ios::app : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", _path);
-    if (!_started) {
-        out << "# gest-lineage v" << lineageCsvVersion << "\n";
-        out << "generation,id,op,parent1,parent2,mutated_genes,"
-               "mutated_indices,fitness\n";
-        _started = true;
-    }
-    out.precision(17);
-
     std::vector<LineageEvent> sealed;
-    sealed.reserve(_pending.size());
-    for (LineageEvent& event : _pending) {
+    sealed.reserve(view.births.size());
+    for (const core::Birth& birth : view.births) {
+        LineageEvent event;
+        event.generation = view.record.generation;
+        event.id = birth.id;
+        event.op = birth.op;
+        event.parent1 = birth.parent1;
+        event.parent2 = birth.parent2;
+        event.mutatedGenes = birth.mutatedGenes;
         const auto it = generation_fitness.find(event.id);
         if (it != generation_fitness.end())
             event.fitness = it->second;
         _fitnessById[event.id] = event.fitness;
+        sealed.push_back(std::move(event));
+    }
+    return sealed;
+}
 
+std::string
+lineageCsvHeader()
+{
+    return "# gest-lineage v" + std::to_string(lineageCsvVersion) +
+           "\ngeneration,id,op,parent1,parent2,mutated_genes,"
+           "mutated_indices,fitness\n";
+}
+
+std::string
+formatLineageRows(const std::vector<LineageEvent>& events)
+{
+    std::ostringstream out;
+    out.precision(17);
+    for (const LineageEvent& event : events) {
         out << event.generation << ',' << event.id << ','
             << toString(event.op) << ',' << event.parent1 << ','
             << event.parent2 << ',' << event.mutatedGenes.size() << ',';
@@ -81,11 +87,8 @@ LineageLedger::sealGeneration(const core::Population& pop)
             out << event.mutatedGenes[i];
         }
         out << ',' << event.fitness << '\n';
-        sealed.push_back(std::move(event));
     }
-    _pending.clear();
-    _sealed += sealed.size();
-    return sealed;
+    return out.str();
 }
 
 bool

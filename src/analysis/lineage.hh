@@ -28,20 +28,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/population.hh"
+#include "core/engine.hh"
 
 namespace gest {
 namespace analysis {
 
-/** How an individual came to exist. */
-enum class BirthOp
-{
-    Seed,      ///< random generation-0 individual
-    Resumed,   ///< loaded from a seed population / checkpoint
-    Crossover, ///< bred and left unmutated
-    Mutation,  ///< bred and mutated (parents are the crossover pair)
-    EliteCopy, ///< the elite carried unchanged into the next generation
-};
+/** How an individual came to exist (the engine reports births). */
+using BirthOp = core::BirthOp;
 
 /** Number of BirthOp values (for per-operator count arrays). */
 constexpr int numBirthOps = 5;
@@ -76,45 +69,32 @@ struct LineageEvent
 constexpr int lineageCsvVersion = 1;
 
 /**
- * Records birth events and appends them to `lineage.csv` once their
- * generation is evaluated (fitness is only known then). Also keeps an
- * id -> fitness map so operator efficacy (children beating both
- * parents) can be computed without re-reading the file.
+ * Seals each evaluated generation's births into lineage events (the
+ * fitness is only known once the generation is evaluated) and keeps an
+ * id -> fitness map, so operator efficacy (children beating both
+ * parents) can be computed without re-reading lineage.csv.
  */
 class LineageLedger
 {
   public:
-    /** @param path the lineage.csv file to create and append to. */
-    explicit LineageLedger(std::string path);
-
     /**
-     * Record a birth. Fitness may be unset; sealGeneration() fills it
-     * in from the evaluated population and flushes the row.
+     * One event per birth of @p view, in birth order, with the fitness
+     * each individual scored in the evaluated population.
      */
-    void recordBirth(LineageEvent event);
+    std::vector<LineageEvent> seal(const core::GenerationView& view);
 
-    /**
-     * Fill in fitness for this generation's pending births from the
-     * evaluated population, append their rows to the file, and return
-     * the sealed events (recorder uses them for operator efficacy).
-     */
-    std::vector<LineageEvent> sealGeneration(const core::Population& pop);
-
-    /** Fitness of a recorded individual. @return true when known. */
+    /** Fitness of a sealed individual. @return true when known. */
     bool fitnessOf(std::uint64_t id, double& out) const;
 
-    /** Birth events recorded and sealed so far. */
-    std::uint64_t sealedEvents() const { return _sealed; }
-
-    const std::string& path() const { return _path; }
-
   private:
-    std::string _path;
-    bool _started = false;
-    std::vector<LineageEvent> _pending;
     std::unordered_map<std::uint64_t, double> _fitnessById;
-    std::uint64_t _sealed = 0;
 };
+
+/** The lineage.csv version and column header lines. */
+std::string lineageCsvHeader();
+
+/** @p events as lineage.csv rows. */
+std::string formatLineageRows(const std::vector<LineageEvent>& events);
 
 /**
  * Parse lineage.csv text. Header-driven like the history parser;

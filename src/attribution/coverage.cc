@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 
 #include "attribution/attribution.hh"
 #include "core/population.hh"
@@ -136,7 +136,7 @@ CoverageLedger::observe(
     return fresh;
 }
 
-void
+CoverageLedger::Snapshot
 CoverageLedger::onGenerationEvaluated(const core::Population& pop,
                                       const core::GenerationRecord& rec)
 {
@@ -157,53 +157,7 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
     coverageStats().saturationPct.set(snap.saturationPct);
     coverageStats().novelCells.inc(fresh);
     coverageStats().touches.inc(touched);
-
-    if (!_csvPath.empty()) {
-        std::ofstream out(_csvPath, _csvStarted
-                                        ? std::ios::app
-                                        : std::ios::trunc);
-        if (!out)
-            fatal("cannot write coverage CSV ", _csvPath);
-        if (!_csvStarted) {
-            out << "# gest-coverage v" << coverageCsvVersion << "\n";
-            out << "# cells_total " << _cellsTotal << "\n";
-            for (int c = 0; c < isa::numInstrClasses; ++c)
-                out << "# class "
-                    << classToken(static_cast<isa::InstrClass>(c))
-                    << " cells " << _classTotal[c] << "\n";
-            out << "generation,cells_new,cells_seen,cells_total,"
-                   "saturation_pct,novelty_rate";
-            for (int c = 0; c < isa::numInstrClasses; ++c)
-                out << ",seen_"
-                    << classToken(static_cast<isa::InstrClass>(c));
-            out << "\n";
-            _csvStarted = true;
-        }
-        char row[256];
-        std::snprintf(row, sizeof(row),
-                      "%d,%llu,%llu,%llu,%.6f,%.6f",
-                      snap.generation,
-                      static_cast<unsigned long long>(snap.newCells),
-                      static_cast<unsigned long long>(snap.cellsSeen),
-                      static_cast<unsigned long long>(snap.cellsTotal),
-                      snap.saturationPct, snap.noveltyRate);
-        out << row;
-        for (int c = 0; c < isa::numInstrClasses; ++c)
-            out << "," << snap.classes[c].seen;
-        out << "\n";
-    }
-
-    if (_listener)
-        _listener(snap);
-}
-
-core::Engine::GenerationCallback
-CoverageLedger::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        onGenerationEvaluated(pop, record);
-    };
+    return snap;
 }
 
 CoverageLedger::Snapshot
@@ -232,9 +186,37 @@ CoverageLedger::snapshot() const
 }
 
 std::string
-CoverageLedger::coverageJson() const
+coverageCsvHeader(const CoverageLedger& ledger)
 {
-    return formatCoverageJson(snapshot());
+    const CoverageLedger::Snapshot empty = ledger.snapshot();
+    std::ostringstream out;
+    out << "# gest-coverage v" << coverageCsvVersion << "\n";
+    out << "# cells_total " << ledger.cellsTotal() << "\n";
+    for (int c = 0; c < isa::numInstrClasses; ++c)
+        out << "# class " << classToken(static_cast<isa::InstrClass>(c))
+            << " cells " << empty.classes[c].total << "\n";
+    out << "generation,cells_new,cells_seen,cells_total,"
+           "saturation_pct,novelty_rate";
+    for (int c = 0; c < isa::numInstrClasses; ++c)
+        out << ",seen_" << classToken(static_cast<isa::InstrClass>(c));
+    out << "\n";
+    return out.str();
+}
+
+std::string
+formatCoverageCsvRow(const CoverageLedger::Snapshot& snap)
+{
+    char row[256];
+    std::snprintf(row, sizeof(row), "%d,%llu,%llu,%llu,%.6f,%.6f",
+                  snap.generation,
+                  static_cast<unsigned long long>(snap.newCells),
+                  static_cast<unsigned long long>(snap.cellsSeen),
+                  static_cast<unsigned long long>(snap.cellsTotal),
+                  snap.saturationPct, snap.noveltyRate);
+    std::string out = row;
+    for (int c = 0; c < isa::numInstrClasses; ++c)
+        out += "," + std::to_string(snap.classes[c].seen);
+    return out + "\n";
 }
 
 std::string

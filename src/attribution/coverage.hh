@@ -10,15 +10,12 @@
  * per new cell, a plain load otherwise), so by the end of a run it
  * answers "what did the GA never try?" exactly.
  *
- * Wiring follows the other observers: Engine::addGenerationObserver
- * drives onGenerationEvaluated on the coordinator thread — const views
- * only, never the RNG, so run artifacts are bit-identical with the
- * ledger on or off. Atomics exist for the telemetry server's HTTP
- * workers, which may render coverageJson() concurrently. Each observed
- * generation appends a row to the `# gest-coverage v1` CSV (when a
- * path is set), refreshes the coverage.* gauges and notifies the
- * generation listener (the run driver forwards it to the telemetry
- * service).
+ * The run pipeline drives onGenerationEvaluated on the coordinator
+ * thread — const views only, never the RNG. Atomics let other threads
+ * take snapshot() concurrently. Each observed generation
+ * refreshes the coverage.* gauges and returns the snapshot the
+ * pipeline's sinks render as a `# gest-coverage v1` CSV row and the
+ * /coverage payload.
  */
 
 #ifndef GEST_ATTRIBUTION_COVERAGE_HH
@@ -27,7 +24,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,35 +79,18 @@ class CoverageLedger
         std::uint64_t* touches = nullptr);
 
     /**
-     * Ingest one evaluated generation: observe every individual,
-     * update the coverage.* stats, append the CSV row and notify the
-     * listener. Coordinator thread only.
+     * Ingest one evaluated generation: observe every individual and
+     * update the coverage.* stats. Coordinator thread only.
+     * @return the cumulative state after this generation.
      */
-    void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record);
-
-    /** The observer for Engine::addGenerationObserver. */
-    core::Engine::GenerationCallback observer();
-
-    /** Append per-generation rows to @p path (empty: no CSV). */
-    void setCsvPath(std::string path) { _csvPath = std::move(path); }
-
-    const std::string& csvPath() const { return _csvPath; }
-
-    /** Called after each observed generation (coordinator thread). */
-    void setGenerationListener(std::function<void(const Snapshot&)> fn)
-    {
-        _listener = std::move(fn);
-    }
+    Snapshot onGenerationEvaluated(const core::Population& pop,
+                                   const core::GenerationRecord& record);
 
     /**
      * Current cumulative state; safe from any thread (per-generation
      * fields describe the last generation sealed by the coordinator).
      */
     Snapshot snapshot() const;
-
-    /** snapshot() rendered as the /coverage JSON payload. */
-    std::string coverageJson() const;
 
   private:
     /** One operand slot's cell range. */
@@ -149,11 +128,16 @@ class CoverageLedger
     std::atomic<int> _lastGeneration{-1};
     std::atomic<std::uint64_t> _lastNewCells{0};
     std::atomic<std::uint64_t> _lastTouches{0};
-
-    std::string _csvPath;
-    bool _csvStarted = false;
-    std::function<void(const Snapshot&)> _listener;
 };
+
+/**
+ * The coverage.csv version, universe comment lines and column header
+ * for a ledger over @p ledger's library.
+ */
+std::string coverageCsvHeader(const CoverageLedger& ledger);
+
+/** @p snapshot as one coverage.csv line. */
+std::string formatCoverageCsvRow(const CoverageLedger::Snapshot& snapshot);
 
 /** Render @p snapshot as the /coverage JSON payload. */
 std::string formatCoverageJson(const CoverageLedger::Snapshot& snapshot);

@@ -1,17 +1,12 @@
 #include "config/config.hh"
 
-#include "analysis/recorder.hh"
 #include "attribution/attribution.hh"
 #include "attribution/attribution_io.hh"
-#include "attribution/coverage.hh"
+#include "config/pipeline.hh"
 #include "fitness/fitness.hh"
 #include "isa/standard_libs.hh"
 #include "measure/sim_measurements.hh"
-#include "net/telemetry.hh"
-#include "output/flight_recorder.hh"
-#include "output/run_writer.hh"
 #include "output/trace_writer.hh"
-#include "provenance/provenance.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
@@ -227,21 +222,12 @@ parseConfig(const std::string& text, const std::string& base_dir,
         if (out->hasAttr("stats"))
             cfg.recordStats =
                 parseBool(out->attr("stats"), "output stats");
-        if (out->hasAttr("analytics"))
-            cfg.recordAnalytics =
-                parseBool(out->attr("analytics"), "output analytics");
         if (out->hasAttr("provenance"))
             cfg.recordProvenance =
                 parseBool(out->attr("provenance"), "output provenance");
-        if (out->hasAttr("coverage"))
-            cfg.recordCoverage =
-                parseBool(out->attr("coverage"), "output coverage");
         if (out->hasAttr("attribution"))
             cfg.recordAttribution = parseBool(
                 out->attr("attribution"), "output attribution");
-        if (out->hasAttr("health"))
-            cfg.recordHealth =
-                parseBool(out->attr("health"), "output health");
         if (out->hasAttr("health_plateau"))
             cfg.healthRules.plateauGenerations =
                 static_cast<int>(parseInt(out->attr("health_plateau"),
@@ -345,146 +331,8 @@ runFromConfig(const RunConfig& cfg)
         engine.setTraceWriter(trace.get());
     }
 
-    std::unique_ptr<analysis::Recorder> recorder;
-    if (cfg.recordAnalytics && !cfg.outputDirectory.empty()) {
-        recorder = std::make_unique<analysis::Recorder>(
-            cfg.outputDirectory, cfg.library, cfg.ga.generations);
-        engine.setAnalytics(recorder.get());
-    }
-
-    std::unique_ptr<output::FlightRecorder> flight;
-    if (cfg.waveformTopK > 0) {
-        if (cfg.outputDirectory.empty()) {
-            warn("waveform capture requested but no output directory "
-                 "is set; skipping");
-        } else if (std::unique_ptr<measure::Measurement> probe_meas =
-                       measurement->clone()) {
-            flight = std::make_unique<output::FlightRecorder>(
-                cfg.outputDirectory, cfg.waveformTopK,
-                std::move(probe_meas));
-        } else {
-            warn("measurement '", cfg.measurementClass,
-                 "' is not cloneable; waveform capture disabled");
-        }
-    }
-
-    std::unique_ptr<output::RunWriter> writer;
-    if (!cfg.outputDirectory.empty()) {
-        writer = std::make_unique<output::RunWriter>(
-            cfg.outputDirectory, cfg.library,
-            cfg.asmTemplate ? &*cfg.asmTemplate : nullptr);
-        writer->writeRunMetadata(
-            cfg.rawText,
-            cfg.asmTemplate ? cfg.asmTemplate->text() : "");
-        writer->setTraceWriter(trace.get());
-        engine.setGenerationCallback(writer->callback());
-    }
-    if (flight) {
-        engine.addGenerationObserver(
-            [fr = flight.get()](const core::Population& pop,
-                                const core::GenerationRecord& record) {
-                fr->onGenerationEvaluated(pop, record);
-            });
-    }
-
-    // Coverage ledger: installed before the provenance and telemetry
-    // observers so its per-generation tick is already sealed when the
-    // telemetry service composes that generation's row. Useful even
-    // without an output directory (live /coverage only).
-    std::unique_ptr<attribution::CoverageLedger> coverage;
-    if (cfg.recordCoverage) {
-        coverage =
-            std::make_unique<attribution::CoverageLedger>(cfg.library);
-        if (!cfg.outputDirectory.empty())
-            coverage->setCsvPath(cfg.outputDirectory + "/coverage.csv");
-        engine.addGenerationObserver(coverage->observer());
-    }
-
-    // Health watchdog: installed after the coverage ledger (whose tick
-    // for generation N is already in when the watchdog evaluates N)
-    // and before the telemetry observer (so alert SSE frames precede
-    // their generation's frame). Useful even without an output
-    // directory (live /alerts only).
-    std::unique_ptr<analysis::HealthWatchdog> watchdog;
-    if (cfg.recordHealth) {
-        watchdog =
-            std::make_unique<analysis::HealthWatchdog>(cfg.healthRules);
-        if (!cfg.outputDirectory.empty()) {
-            ensureDir(cfg.outputDirectory);
-            watchdog->setCsvPath(cfg.outputDirectory + "/alerts.csv");
-        }
-        engine.addGenerationObserver(watchdog->observer());
-        if (recorder)
-            recorder->setHealthProvider(
-                [w = watchdog.get()] { return w->summary(); });
-    }
-
-    // Provenance: digest ledger during the run, manifest seal after.
-    // Attached after the recorder, so mid-run status.json heartbeats
-    // report the previous generation's digest count (finish() is exact).
-    std::unique_ptr<provenance::ProvenanceRecorder> prov;
-    if (cfg.recordProvenance && !cfg.outputDirectory.empty()) {
-        prov = std::make_unique<provenance::ProvenanceRecorder>(
-            cfg.outputDirectory, cfg.library);
-        engine.addGenerationObserver(prov->observer());
-        if (recorder)
-            recorder->setDigestProvider(
-                [p = prov.get()] { return p->digestsSealed(); });
-    }
-
-    // Live telemetry: bind before the run so the first generation is
-    // already scrapable; the service only observes (const views, no
-    // RNG), keeping artifacts bit-identical with the server on or off.
-    std::unique_ptr<net::TelemetryServer> telemetry;
-    if (!cfg.listenAddress.empty()) {
-        telemetry = std::make_unique<net::TelemetryServer>(
-            cfg.listenAddress, cfg.library, cfg.ga.generations);
-        telemetry->start();
-        inform("telemetry listening on http://", telemetry->address());
-        engine.addGenerationObserver(telemetry->observer());
-        if (recorder) {
-            recorder->setListenAddress(telemetry->address());
-            net::TelemetryService* service = &telemetry->service();
-            recorder->setStatusListener(
-                [service](const std::string& payload) {
-                    service->setStatusJson(payload);
-                });
-        }
-        if (watchdog) {
-            net::TelemetryService* service = &telemetry->service();
-            watchdog->setAlertListener(
-                [service](const analysis::Alert& alert) {
-                    service->noteAlert(alert);
-                });
-        }
-    }
-
-    // One coverage listener feeds both consumers: the watchdog's
-    // coverage_stall rule and the live /coverage snapshot. Fires inside
-    // the coverage observer, which runs before both of theirs.
-    if (coverage && (watchdog || telemetry)) {
-        net::TelemetryService* service =
-            telemetry ? &telemetry->service() : nullptr;
-        analysis::HealthWatchdog* wd = watchdog.get();
-        coverage->setGenerationListener(
-            [service,
-             wd](const attribution::CoverageLedger::Snapshot& snap) {
-                if (wd)
-                    wd->noteCoverage(snap.generation, snap.newCells);
-                if (service == nullptr)
-                    return;
-                net::TelemetryService::CoverageTick tick;
-                tick.generation = snap.generation;
-                tick.cellsSeen = snap.cellsSeen;
-                tick.cellsTotal = snap.cellsTotal;
-                tick.newCells = snap.newCells;
-                tick.saturationPct = snap.saturationPct;
-                tick.noveltyRate = snap.noveltyRate;
-                service->noteCoverage(
-                    tick, attribution::formatCoverageJson(snap));
-            });
-    }
-
+    RunPipeline pipeline(cfg, *measurement, trace.get());
+    engine.setGenerationCallback(pipeline.callback());
     engine.run();
 
     RunResult result;
@@ -494,9 +342,8 @@ runFromConfig(const RunConfig& cfg)
     result.evaluations = engine.evaluations();
     result.cacheHits = engine.cacheHits();
     result.cacheMisses = engine.cacheMisses();
-
-    if (flight)
-        result.waveformFiles = flight->seal();
+    result.waveformFiles = pipeline.sealWaveforms();
+    result.coverageFile = pipeline.coverageFile();
 
     // Attribution: ablate the flight recorder's retained champions (or
     // the best-ever individual without one) on a private measurement
@@ -516,14 +363,11 @@ runFromConfig(const RunConfig& cfg)
             const std::vector<isa::InstructionInstance>* code;
         };
         std::vector<AttributionTarget> targets;
-        if (flight) {
-            for (const output::FlightRecorder::Entry& entry :
-                 flight->entries())
-                targets.push_back(
-                    {entry.id, entry.generation, &entry.code});
-        } else if (!result.best.code.empty()) {
+        for (const output::FlightRecorder::Entry& entry :
+             pipeline.champions())
+            targets.push_back({entry.id, entry.generation, &entry.code});
+        if (targets.empty() && !result.best.code.empty())
             targets.push_back({result.best.id, -1, &result.best.code});
-        }
         for (const AttributionTarget& target : targets) {
             core::Individual ind;
             ind.id = target.id;
@@ -540,12 +384,6 @@ runFromConfig(const RunConfig& cfg)
                     attributed);
             result.attributionFiles.push_back(artifacts.csvPath);
             result.attributionFiles.push_back(artifacts.jsonPath);
-            if (writer) {
-                writer->noteArtifact("attribution/" + basename + ".csv",
-                                     "attribution");
-                writer->noteArtifact(
-                    "attribution/" + basename + ".json", "attribution");
-            }
         }
         if (!targets.empty())
             debug("attribution sealed for ", targets.size(),
@@ -556,23 +394,6 @@ runFromConfig(const RunConfig& cfg)
              "skipping");
     }
 
-    if (coverage && fileExists(coverage->csvPath())) {
-        result.coverageFile = coverage->csvPath();
-        if (writer)
-            writer->noteArtifact("coverage.csv", "coverage");
-    }
-
-    if (watchdog && fileExists(watchdog->csvPath())) {
-        const analysis::HealthSummary health = watchdog->summary();
-        if (health.alerts > 0)
-            warn("health watchdog raised ", health.alerts,
-                 " alert(s); see ", watchdog->csvPath());
-        if (writer)
-            writer->noteArtifact("alerts.csv", "alerts");
-    }
-
-    if (recorder)
-        recorder->finish();
     if (trace) {
         trace->finish();
         result.traceFile = cfg.traceFile;
@@ -589,39 +410,29 @@ runFromConfig(const RunConfig& cfg)
         debug("stats recorded in ", cfg.outputDirectory,
               "/stats.txt and metrics.json");
     }
-    if (telemetry) {
-        // After recorder->finish() and the stats dump: the last scrape
-        // a client can make agrees with the sealed artifacts.
-        telemetry->service().noteRunCompleted();
-        result.listenAddress = telemetry->address();
-        telemetry->stop();
-    }
+    // After the stats dump: the last scrape a client can make agrees
+    // with the sealed artifacts.
+    pipeline.finish();
+    result.listenAddress = pipeline.listenAddress();
     if (cfg.recordStats)
         stats::setEnabled(stats_were_enabled);
-    if (prov) {
-        // Seal last: every other artifact is final, so the manifest's
-        // checksums describe exactly what a verifier will find.
-        provenance::SealInfo info;
-        info.configText = cfg.rawText;
-        info.configBaseDir = cfg.configBaseDir;
-        info.measurementClass = cfg.measurementClass;
-        info.fitnessClass = cfg.fitnessClass;
-        info.ga = cfg.ga;
-        info.steadyStateOverride = cfg.steadyStateOverride;
-        info.waveformTopK = cfg.waveformTopK;
-        info.recordStats = cfg.recordStats;
-        info.recordAnalytics = cfg.recordAnalytics;
-        info.recordCoverage = cfg.recordCoverage;
-        info.recordAttribution = cfg.recordAttribution;
-        info.generationsCompleted =
-            static_cast<int>(result.history.size());
-        info.evaluations = result.evaluations;
-        info.bestFitness = result.best.fitness;
-        info.bestId = result.best.id;
-        result.manifestFile = prov->seal(
-            info, writer ? writer->artifactKinds()
-                         : std::map<std::string, std::string>{});
-    }
+    // Seal last: every other artifact is final, so the manifest's
+    // checksums describe exactly what a verifier will find.
+    provenance::SealInfo info;
+    info.configText = cfg.rawText;
+    info.configBaseDir = cfg.configBaseDir;
+    info.measurementClass = cfg.measurementClass;
+    info.fitnessClass = cfg.fitnessClass;
+    info.ga = cfg.ga;
+    info.steadyStateOverride = cfg.steadyStateOverride;
+    info.waveformTopK = cfg.waveformTopK;
+    info.recordStats = cfg.recordStats;
+    info.recordAttribution = cfg.recordAttribution;
+    info.generationsCompleted = static_cast<int>(result.history.size());
+    info.evaluations = result.evaluations;
+    info.bestFitness = result.best.fitness;
+    info.bestId = result.best.id;
+    result.manifestFile = pipeline.seal(info);
     return result;
 }
 

@@ -84,16 +84,6 @@ struct RunConfig
     bool recordStats = true;
 
     /**
-     * Record evolution analytics (<output analytics="...">, default
-     * true): an analysis::Recorder is attached to the engine and
-     * lineage.csv, analytics.csv and the status.json heartbeat are
-     * maintained in the output directory. Has no effect without an
-     * output directory. Recording never perturbs the GA RNG, so
-     * results are bit-identical with analytics on or off.
-     */
-    bool recordAnalytics = true;
-
-    /**
      * Keep signal captures of the run's top-K individuals
      * (<output waveforms="K">, default 0 = off): a FlightRecorder
      * re-measures each champion once with a SignalProbe and seals
@@ -113,16 +103,6 @@ struct RunConfig
     std::optional<bool> steadyStateOverride;
 
     /**
-     * Track search-space coverage (<output coverage="true"/>, default
-     * false): an attribution::CoverageLedger observes every evaluated
-     * generation and seals a per-generation coverage.csv in the output
-     * directory (plus the /coverage endpoint when --listen is on).
-     * Observation is read-only — never the GA RNG — so all other
-     * artifacts are byte-identical with the ledger on or off.
-     */
-    bool recordCoverage = false;
-
-    /**
      * Attribute champion fitness at seal time (<output
      * attribution="true"/>, default false): after the run, the flight
      * recorder's retained champions (or the best-ever individual when
@@ -134,19 +114,13 @@ struct RunConfig
     bool recordAttribution = false;
 
     /**
-     * Watch GA health during the run (<output health="true"/>, default
-     * false): an analysis::HealthWatchdog observes every evaluated
-     * generation, evaluates the declarative rules in
-     * analysis::HealthRules and seals a `# gest-alerts v1` alerts.csv
-     * in the output directory (plus the /alerts endpoint and `alert`
-     * SSE events when --listen is on, and an `alerts` block in
-     * status.json). Observation is read-only — never the GA RNG — so
-     * all other artifacts are byte-identical with the watchdog on or
-     * off. Thresholds tune via health_plateau, health_collapse_factor,
-     * health_cache_floor, health_coverage_stall and
-     * health_starvation_share attributes (zero disables a rule).
+     * Thresholds of the GA health watchdog, which evaluates the
+     * declarative rules in analysis::HealthRules on every generation
+     * (alerts.csv, the status.json `alerts` block, /alerts). Tuned via
+     * the health_plateau, health_collapse_factor, health_cache_floor,
+     * health_coverage_stall and health_starvation_share attributes of
+     * <output> (zero disables a rule).
      */
-    bool recordHealth = false;
     analysis::HealthRules healthRules;
 
     /**
@@ -155,10 +129,7 @@ struct RunConfig
      * run and a manifest.json — canonical config hash, seed, build
      * fingerprint, artifact checksums — is sealed into the output
      * directory when the run finishes. `gest verify` replays against
-     * them. Has no effect without an output directory. Recording is
-     * strictly observational (never touches the GA RNG) and every
-     * pre-existing artifact is byte-identical with provenance on or
-     * off.
+     * them. Has no effect without an output directory.
      */
     bool recordProvenance = true;
 
@@ -175,9 +146,7 @@ struct RunConfig
      * set, the run hosts the embedded HTTP endpoints (/metrics,
      * /status, /history, /champion, /events) for its duration; port 0
      * asks the kernel for an ephemeral port, echoed to the log and
-     * into status.json. Serving is strictly read-only and never
-     * touches the GA RNG: run artifacts are bit-identical with the
-     * server on or off. See docs/observability.md, "Live endpoints".
+     * into status.json. See docs/observability.md, "Live endpoints".
      */
     std::string listenAddress;
 
@@ -254,10 +223,7 @@ struct RunResult
      */
     std::string manifestFile;
 
-    /**
-     * Path of the sealed coverage.csv (empty when coverage tracking
-     * was off or no output directory was set).
-     */
+    /** Path of the sealed coverage.csv (empty without a run directory). */
     std::string coverageFile;
 
     /**
@@ -269,7 +235,8 @@ struct RunResult
 
 /**
  * Execute one GA run described by a configuration: instantiate the
- * measurement and fitness by name, wire the output writer, seed, run.
+ * measurement and fitness by name, deploy the run pipeline
+ * (config/pipeline.hh), seed, run, seal.
  */
 RunResult runFromConfig(const RunConfig& cfg);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analysis/recorder.hh"
 #include "output/trace_writer.hh"
 #include "stats/stats.hh"
 #include "util/logging.hh"
@@ -116,24 +115,11 @@ Engine::setGenerationCallback(GenerationCallback callback)
 }
 
 void
-Engine::addGenerationObserver(GenerationCallback observer)
-{
-    if (observer)
-        _observers.push_back(std::move(observer));
-}
-
-void
 Engine::setTraceWriter(output::TraceWriter* trace)
 {
     _trace = trace;
     if (_trace)
         _trace->setThreadName(0, util::ThreadPool::workerName(-1));
-}
-
-void
-Engine::setAnalytics(analysis::Recorder* recorder)
-{
-    _analytics = recorder;
 }
 
 bool
@@ -384,12 +370,9 @@ Engine::evaluatePopulation()
     }
     _history.push_back(generationRecord);
 
-    if (_analytics)
-        _analytics->onGenerationEvaluated(_population, generationRecord);
     if (_callback)
-        _callback(_population, generationRecord);
-    for (const GenerationCallback& observer : _observers)
-        observer(_population, generationRecord);
+        _callback({_population, generationRecord, _births});
+    _births.clear();
 }
 
 void
@@ -422,18 +405,21 @@ Engine::initialize()
         for (int i = 0; i < _params.populationSize; ++i)
             _population.individuals.push_back(randomIndividual());
     }
-    if (_analytics) {
+    if (_callback) {
         // Individuals carried over from a seed file keep their original
         // ids and parents, which may predate this run's ledger — they
-        // are recorded as "resumed"; random top-ups past the seed-file
+        // are reported as "resumed"; random top-ups past the seed-file
         // count are ordinary seeds.
         const std::size_t carried =
             _seed ? std::min(_seed->individuals.size(),
                              _population.individuals.size())
                   : 0;
-        for (std::size_t i = 0; i < _population.individuals.size(); ++i)
-            _analytics->recordSeed(0, _population.individuals[i],
-                                   i < carried);
+        for (std::size_t i = 0; i < _population.individuals.size(); ++i) {
+            const Individual& ind = _population.individuals[i];
+            _births.push_back({i < carried ? BirthOp::Resumed
+                                           : BirthOp::Seed,
+                               ind.id, ind.parent1, ind.parent2, {}});
+        }
     }
     evaluatePopulation();
 }
@@ -442,6 +428,7 @@ Population
 Engine::breed()
 {
     const bool record = timed();
+    const bool births = static_cast<bool>(_callback);
     const double breedStart = record ? stats::nowUs() : 0.0;
     _breedTiming = {};
 
@@ -454,9 +441,12 @@ Engine::breed()
         // The elite keeps its id, measurements and fitness: it is the
         // same individual, not a copy to re-measure.
         next.individuals.push_back(_population.best());
-        if (_analytics)
-            _analytics->recordEliteCopy(next.generation,
-                                        next.individuals.back());
+        // An elite copy is the same individual again, not a child; its
+        // true parents are on its birth row, so the copy points at
+        // itself.
+        const std::uint64_t id = next.individuals.back().id;
+        if (births)
+            _births.push_back({BirthOp::EliteCopy, id, id, id, {}});
     }
 
     std::vector<std::uint32_t> mutated1, mutated2;
@@ -472,14 +462,10 @@ Engine::breed()
         const double mark1 = record ? stats::nowUs() : 0.0;
         auto [c1, c2] = crossover(p1, p2, _params, _rng);
         const double mark2 = record ? stats::nowUs() : 0.0;
-        if (_analytics) {
-            mutated1.clear();
-            mutated2.clear();
-        }
-        mutate(c1, _lib, _params, _rng,
-               _analytics ? &mutated1 : nullptr);
-        mutate(c2, _lib, _params, _rng,
-               _analytics ? &mutated2 : nullptr);
+        mutated1.clear();
+        mutated2.clear();
+        mutate(c1, _lib, _params, _rng, births ? &mutated1 : nullptr);
+        mutate(c2, _lib, _params, _rng, births ? &mutated2 : nullptr);
         if (record) {
             const double mark3 = stats::nowUs();
             _breedTiming.selectionUs += mark1 - mark0;
@@ -488,15 +474,19 @@ Engine::breed()
         }
         c1.id = _nextId++;
         c2.id = _nextId++;
-        if (_analytics)
-            _analytics->recordChild(next.generation, c1, mutated1);
-        next.individuals.push_back(std::move(c1));
+        auto add = [&](Individual& child,
+                       std::vector<std::uint32_t>& mutated) {
+            if (births)
+                _births.push_back({mutated.empty() ? BirthOp::Crossover
+                                                   : BirthOp::Mutation,
+                                   child.id, child.parent1,
+                                   child.parent2, std::move(mutated)});
+            next.individuals.push_back(std::move(child));
+        };
+        add(c1, mutated1);
         if (static_cast<int>(next.individuals.size()) <
-            _params.populationSize) {
-            if (_analytics)
-                _analytics->recordChild(next.generation, c2, mutated2);
-            next.individuals.push_back(std::move(c2));
-        }
+            _params.populationSize)
+            add(c2, mutated2);
     }
     if (_trace) {
         _trace->completeEvent(

@@ -27,10 +27,6 @@ namespace output {
 class TraceWriter;
 } // namespace output
 
-namespace analysis {
-class Recorder;
-} // namespace analysis
-
 namespace core {
 
 /** Per-generation summary appended to the engine's history. */
@@ -68,6 +64,38 @@ struct GenerationRecord
     double evaluationMs = 0.0;  ///< cache resolution + measurements
 };
 
+/** How an individual came to exist. */
+enum class BirthOp
+{
+    Seed,      ///< random generation-0 individual
+    Resumed,   ///< loaded from a seed population / checkpoint
+    Crossover, ///< bred and left unmutated
+    Mutation,  ///< bred and mutated (parents are the crossover pair)
+    EliteCopy, ///< the elite carried unchanged into the next generation
+};
+
+/** One individual entering a generation, in population order. */
+struct Birth
+{
+    BirthOp op = BirthOp::Seed;
+    std::uint64_t id = 0;
+    std::uint64_t parent1 = 0; ///< 0 = none
+    std::uint64_t parent2 = 0; ///< 0 = none
+
+    /** Gene indices rewritten by mutation (empty for other ops). */
+    std::vector<std::uint32_t> mutatedGenes;
+};
+
+/** What the engine hands its callback after evaluating a generation. */
+struct GenerationView
+{
+    const Population& population;
+    const GenerationRecord& record;
+
+    /** The generation's births, in the order they were created. */
+    const std::vector<Birth>& births;
+};
+
 /**
  * Drives one GA search. The engine owns the population and the RNG; the
  * caller owns the library, measurement and fitness objects, which must
@@ -76,9 +104,12 @@ struct GenerationRecord
 class Engine
 {
   public:
-    /** Callback invoked after each generation is evaluated. */
-    using GenerationCallback =
-        std::function<void(const Population&, const GenerationRecord&)>;
+    /**
+     * Callback invoked on the coordinator thread after each generation
+     * is evaluated. It receives const views only and never the RNG, so
+     * it cannot perturb the search.
+     */
+    using GenerationCallback = std::function<void(const GenerationView&)>;
 
     Engine(GaParams params, const isa::InstructionLibrary& lib,
            measure::Measurement& measurement, fitness::Fitness& fitness);
@@ -90,20 +121,14 @@ class Engine
      */
     void setSeedPopulation(Population seed);
 
-    /** Install a per-generation observer (progress logs, output files). */
-    void setGenerationCallback(GenerationCallback callback);
-
     /**
-     * Install an additional per-generation observer; unlike
-     * setGenerationCallback (of which there is exactly one, owned by
-     * the run driver), any number of observers can stack — the flight
-     * recorder and the live telemetry service attach here. Observers
-     * run on the coordinator thread after the analytics recorder and
-     * the primary callback, in installation order; they must not
-     * mutate the GA (they receive const views and the engine never
-     * hands them the RNG).
+     * Install the per-generation callback (the run driver's pipeline,
+     * progress logs, output files). While one is installed the engine
+     * also tracks every birth — seeds, crossover/mutation children
+     * with their mutated gene indices, elite copies — and hands them
+     * over in the view.
      */
-    void addGenerationObserver(GenerationCallback observer);
+    void setGenerationCallback(GenerationCallback callback);
 
     /**
      * Attach a Chrome-trace writer (may be null to detach). The engine
@@ -113,17 +138,6 @@ class Engine
      * globally disabled. The writer must outlive the engine.
      */
     void setTraceWriter(output::TraceWriter* trace);
-
-    /**
-     * Attach an evolution-analytics recorder (may be null to detach;
-     * must outlive the engine). The engine then reports every birth —
-     * seeds, crossover/mutation children with their mutated gene
-     * indices, elite copies — and each evaluated generation to it, so
-     * the recorder can maintain lineage.csv, analytics.csv and the
-     * status.json heartbeat. Recording never touches the GA RNG:
-     * results are bit-identical with the recorder attached or not.
-     */
-    void setAnalytics(analysis::Recorder* recorder);
 
     /** Create and evaluate generation 0. */
     void initialize();
@@ -213,7 +227,9 @@ class Engine
     std::optional<Individual> _bestEver;
     std::vector<GenerationRecord> _history;
     GenerationCallback _callback;
-    std::vector<GenerationCallback> _observers;
+
+    /** Births of the generation being built (tracked with a callback). */
+    std::vector<Birth> _births;
     std::uint64_t _nextId = 1;
     std::uint64_t _evaluations = 0;
     bool _initialized = false;
@@ -231,9 +247,6 @@ class Engine
 
     /** Chrome-trace sink (null when tracing is off). */
     output::TraceWriter* _trace = nullptr;
-
-    /** Evolution-analytics sink (null when analytics are off). */
-    analysis::Recorder* _analytics = nullptr;
 
     /** Phase timings accumulated by breed(), consumed by the record. */
     struct BreedTiming

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/recorder.hh"
 #include "core/individual.hh"
 #include "stats/stats.hh"
 #include "util/strutil.hh"
@@ -145,66 +144,63 @@ GenerationEventBuffer::publish(std::string payload, long long key)
 
 TelemetryService::TelemetryService(const isa::InstructionLibrary& lib,
                                    int total_generations)
-    : _lib(lib), _totalGenerations(total_generations),
-      _startUs(stats::nowUs()),
+    : _lib(lib),
       // Capacity for the whole run plus slack for stagnation overruns
       // and tests that step past the budget.
       _events(static_cast<std::size_t>(
                   total_generations > 0 ? total_generations : 1) +
               64)
 {
+    // Placeholder until the first generation is published.
     analysis::StatusSnapshot empty;
     empty.generation = -1;
     empty.totalGenerations = total_generations;
-    // -1 marks "analytics off — not computed" so dashboards render
-    // n/a instead of a misleading 0; the analytics recorder overwrites
-    // the whole payload with real values via setStatusJson.
-    empty.geneEntropyBits = -1.0;
-    empty.pairwiseDiversity = -1.0;
     _statusJson = analysis::formatStatusJson(empty);
     _championJson = "{\n  \"state\": \"no champion yet\"\n}\n";
-    _coverageJson = "{\n  \"state\": \"coverage not recorded\"\n}\n";
+    _coverageJson = "{\n  \"state\": \"no generation yet\"\n}\n";
 }
 
 void
-TelemetryService::onGenerationEvaluated(const core::Population& pop,
-                                        const core::GenerationRecord& rec)
+TelemetryService::publish(const analysis::GenerationSnapshot& snap)
 {
-    _totalMeasured += rec.cacheMisses;
-    _totalCacheHits += rec.cacheHits;
+    const core::GenerationRecord& rec = snap.record;
+    for (const analysis::Alert& alert : snap.alerts) {
+        const std::string row = analysis::formatAlertJson(alert);
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            _alertRows.push_back(row);
+        }
+        // No `id:` line — see the publish() contract: alert frames must
+        // not advance a client's Last-Event-ID, and keyless events are
+        // redelivered on resume.
+        _events.publish("event: alert\ndata: " + row + "\n\n");
+    }
 
-    // History row: same quantities as a history.csv line, as JSON.
-    char buf[512];
+    // History row: same quantities as a history.csv line, as JSON,
+    // extended with the generation's coverage tick.
+    const attribution::CoverageLedger::Snapshot& cov = snap.coverage;
+    char buf[768];
     std::snprintf(
         buf, sizeof(buf),
         "{\"generation\": %d, \"best_fitness\": %.17g, "
         "\"average_fitness\": %.17g, \"best_id\": %llu, "
         "\"diversity\": %.6f, \"cache_hits\": %llu, "
-        "\"cache_misses\": %llu, \"evaluation_ms\": %.3f",
+        "\"cache_misses\": %llu, \"evaluation_ms\": %.3f, "
+        "\"coverage_cells_seen\": %llu, "
+        "\"coverage_cells_total\": %llu, "
+        "\"coverage_cells_new\": %llu, "
+        "\"coverage_saturation_pct\": %.6f, "
+        "\"coverage_novelty_rate\": %.6f}",
         rec.generation, rec.bestFitness, rec.averageFitness,
         static_cast<unsigned long long>(rec.bestId), rec.diversity,
         static_cast<unsigned long long>(rec.cacheHits),
         static_cast<unsigned long long>(rec.cacheMisses),
-        rec.evaluationMs);
-    std::string row = buf;
-    // The coverage ledger's observer runs before this one, so a tick
-    // for the same generation extends the row; without the ledger the
-    // schema is unchanged.
-    if (_coverage.generation == rec.generation) {
-        std::snprintf(
-            buf, sizeof(buf),
-            ", \"coverage_cells_seen\": %llu, "
-            "\"coverage_cells_total\": %llu, "
-            "\"coverage_cells_new\": %llu, "
-            "\"coverage_saturation_pct\": %.6f, "
-            "\"coverage_novelty_rate\": %.6f",
-            static_cast<unsigned long long>(_coverage.cellsSeen),
-            static_cast<unsigned long long>(_coverage.cellsTotal),
-            static_cast<unsigned long long>(_coverage.newCells),
-            _coverage.saturationPct, _coverage.noveltyRate);
-        row += buf;
-    }
-    row += "}";
+        rec.evaluationMs,
+        static_cast<unsigned long long>(cov.cellsSeen),
+        static_cast<unsigned long long>(cov.cellsTotal),
+        static_cast<unsigned long long>(cov.newCells), cov.saturationPct,
+        cov.noveltyRate);
+    const std::string row = buf;
 
     // SSE frame: replayable from index 0, id = generation.
     std::string frame = "event: generation\nid: ";
@@ -213,8 +209,11 @@ TelemetryService::onGenerationEvaluated(const core::Population& pop,
     frame += row;
     frame += "\n\n";
 
+    std::string status = analysis::formatStatusJson(snap.status);
+    std::string coverage = attribution::formatCoverageJson(cov);
     {
         std::lock_guard<std::mutex> lock(_mutex);
+        const core::Population& pop = snap.population;
         const bool improved = !_haveChampion ||
                               rec.bestFitness > _bestFitness;
         if (improved && pop.bestIndex() >= 0) {
@@ -247,28 +246,14 @@ TelemetryService::onGenerationEvaluated(const core::Population& pop,
             json += lines.empty() ? "]\n}\n" : "\n  ]\n}\n";
             _championJson = std::move(json);
         }
-        _historyRows.emplace_back(row);
-        if (!_externalStatus)
-            _statusJson = composeStatus(rec);
+        _historyRows.push_back(row);
+        _statusJson = std::move(status);
+        _coverageJson = std::move(coverage);
     }
 
     // Publish the SSE event last so a client woken by it can already
     // read the matching snapshots.
     _events.publish(std::move(frame), rec.generation);
-}
-
-void
-TelemetryService::noteAlert(const analysis::Alert& alert)
-{
-    const std::string row = analysis::formatAlertJson(alert);
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _alertRows.push_back(row);
-    }
-    // No `id:` line — see the publish() contract: alert frames must
-    // not advance a client's Last-Event-ID, and keyless events are
-    // redelivered on resume.
-    _events.publish("event: alert\ndata: " + row + "\n\n");
 }
 
 std::string
@@ -285,52 +270,6 @@ TelemetryService::alertsJson() const
 }
 
 std::string
-TelemetryService::composeStatus(const core::GenerationRecord& rec) const
-{
-    const double elapsed_s = (stats::nowUs() - _startUs) / 1e6;
-    const int done = rec.generation + 1;
-    const std::uint64_t resolved = _totalMeasured + _totalCacheHits;
-
-    analysis::StatusSnapshot snapshot;
-    snapshot.running = true;
-    snapshot.generation = rec.generation;
-    snapshot.totalGenerations = _totalGenerations;
-    snapshot.bestFitness = rec.bestFitness;
-    snapshot.averageFitness = rec.averageFitness;
-    snapshot.diversity = rec.diversity;
-    snapshot.evaluations = _totalMeasured;
-    snapshot.cacheHitRate =
-        resolved > 0 ? static_cast<double>(_totalCacheHits) /
-                           static_cast<double>(resolved)
-                     : 0.0;
-    snapshot.evalsPerSec =
-        elapsed_s > 0.0 ? static_cast<double>(_totalMeasured) / elapsed_s
-                        : 0.0;
-    snapshot.elapsedSeconds = elapsed_s;
-    snapshot.etaSeconds =
-        _totalGenerations > done && done > 0
-            ? elapsed_s / static_cast<double>(done) *
-                  static_cast<double>(_totalGenerations - done)
-            : 0.0;
-    // This path only runs when no analytics recorder owns the status:
-    // entropy/diversity are not computed, and -1 (not 0) tells
-    // dashboards to render n/a.
-    snapshot.geneEntropyBits = -1.0;
-    snapshot.pairwiseDiversity = -1.0;
-    analysis::fillSteadyCounters(snapshot);
-    return analysis::formatStatusJson(snapshot);
-}
-
-void
-TelemetryService::noteCoverage(const CoverageTick& tick,
-                               std::string coverage_json)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _coverage = tick;
-    _coverageJson = std::move(coverage_json);
-}
-
-std::string
 TelemetryService::coverageJson() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
@@ -338,27 +277,13 @@ TelemetryService::coverageJson() const
 }
 
 void
-TelemetryService::setStatusJson(std::string payload)
+TelemetryService::noteRunCompleted(
+    const analysis::StatusSnapshot& final_status)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    _externalStatus = true;
-    _statusJson = std::move(payload);
-}
-
-void
-TelemetryService::noteRunCompleted()
-{
+    std::string status = analysis::formatStatusJson(final_status);
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        // Flip the self-composed status to "completed"; an external
-        // (recorder-fed) status already says so via Recorder::finish().
-        if (!_externalStatus) {
-            const std::string needle = "\"state\": \"running\"";
-            const std::size_t pos = _statusJson.find(needle);
-            if (pos != std::string::npos)
-                _statusJson.replace(pos, needle.size(),
-                                    "\"state\": \"completed\"");
-        }
+        _statusJson = std::move(status);
     }
     _completed.store(true, std::memory_order_release);
 }
@@ -388,13 +313,6 @@ TelemetryService::historyJson() const
     }
     out += _historyRows.empty() ? "]\n" : "\n]\n";
     return out;
-}
-
-std::size_t
-TelemetryService::generationsSeen() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _historyRows.size();
 }
 
 TelemetryServer::TelemetryServer(std::string listen_address,
@@ -516,15 +434,6 @@ void
 TelemetryServer::stop()
 {
     _http.stop();
-}
-
-core::Engine::GenerationCallback
-TelemetryServer::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        _service.onGenerationEvaluated(pop, record);
-    };
 }
 
 } // namespace net

@@ -4,7 +4,7 @@
  * observability artifacts served over the embedded HTTP server
  * (docs/observability.md, "Live endpoints").
  *
- * Layering: the engine's per-generation observer *pushes* snapshots in
+ * Layering: the run pipeline *pushes* each generation snapshot in
  * (coordinator thread, one small JSON composition per generation —
  * never on the evaluation hot path), HTTP workers *pull* them out.
  * Scrape endpoints never read the disk artifacts: /status, /history
@@ -26,8 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/health.hh"
-#include "core/engine.hh"
+#include "analysis/snapshot.hh"
 #include "isa/library.hh"
 #include "net/http_server.hh"
 
@@ -128,63 +127,25 @@ class TelemetryService
                      int total_generations);
 
     /**
-     * Ingest one sealed generation: append the history row, refresh
-     * the champion on strict improvement, publish the SSE event and —
-     * unless an analytics recorder supplies richer ones via
-     * setStatusJson — refresh the status snapshot.
+     * Ingest one generation snapshot: publish an `event: alert` SSE
+     * frame per alert raised (before the generation's frame; alert
+     * frames carry no SSE id, so a resumed stream redelivers them),
+     * append the history row (coverage columns included), refresh the
+     * champion on strict improvement, replace /status and /coverage,
+     * then publish the `event: generation` frame.
      */
-    void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record);
-
-    /**
-     * Replace the /status payload (the analytics recorder mirrors
-     * every status.json it writes). Marks the status as externally
-     * owned: onGenerationEvaluated stops composing its own.
-     */
-    void setStatusJson(std::string payload);
-
-    /**
-     * One generation's coverage-ledger state, mirrored into the
-     * /coverage payload and — when the generation matches — appended
-     * to that generation's history row and SSE event.
-     */
-    struct CoverageTick
-    {
-        int generation = -1;
-        std::uint64_t cellsSeen = 0;
-        std::uint64_t cellsTotal = 0;
-        std::uint64_t newCells = 0;
-        double saturationPct = 0.0;
-        double noveltyRate = 0.0;
-    };
-
-    /**
-     * Ingest one coverage-ledger generation (@p coverage_json becomes
-     * the /coverage payload). Coordinator thread, before the same
-     * generation's onGenerationEvaluated — the run driver installs the
-     * ledger's observer ahead of this service's.
-     */
-    void noteCoverage(const CoverageTick& tick,
-                      std::string coverage_json);
+    void publish(const analysis::GenerationSnapshot& snapshot);
 
     std::string coverageJson() const;
-
-    /**
-     * Ingest one health-watchdog alert: append it to the /alerts
-     * payload and publish an `event: alert` SSE frame. Coordinator
-     * thread, from the watchdog's alert listener — the run driver
-     * installs the watchdog's observer ahead of this service's, so the
-     * alert frame precedes its generation's `event: generation` frame.
-     * Alert frames carry no SSE id (they never advance a client's
-     * Last-Event-ID), so a resumed stream redelivers them.
-     */
-    void noteAlert(const analysis::Alert& alert);
 
     /** The `/alerts` payload: every raised alert as a JSON array. */
     std::string alertsJson() const;
 
-    /** Mark the run finished so /events streams can end gracefully. */
-    void noteRunCompleted();
+    /**
+     * Serve @p final_status as /status and mark the run finished so
+     * /events streams can end gracefully.
+     */
+    void noteRunCompleted(const analysis::StatusSnapshot& final_status);
 
     /** @return whether noteRunCompleted() has been called. */
     bool completed() const
@@ -198,16 +159,8 @@ class TelemetryService
 
     const GenerationEventBuffer& events() const { return _events; }
 
-    /** Generations ingested so far (tests). */
-    std::size_t generationsSeen() const;
-
   private:
-    std::string composeStatus(const core::GenerationRecord& record)
-        const;
-
     const isa::InstructionLibrary& _lib;
-    const int _totalGenerations;
-    const double _startUs;
     GenerationEventBuffer _events;
 
     std::atomic<bool> _completed{false};
@@ -218,21 +171,15 @@ class TelemetryService
     std::string _coverageJson;
     std::vector<std::string> _historyRows;
     std::vector<std::string> _alertRows;
-    // Coordinator-thread only (written by noteCoverage, read by
-    // onGenerationEvaluated on the same thread); no lock needed.
-    CoverageTick _coverage;
-    bool _externalStatus = false;
     double _bestFitness = 0.0;
     bool _haveChampion = false;
-    std::uint64_t _totalMeasured = 0;
-    std::uint64_t _totalCacheHits = 0;
 };
 
 /**
  * Glue: one TelemetryService hosted by one HttpServer with the live
  * endpoints (/metrics, /status, /history, /champion, /coverage,
  * /alerts, /events, plus /healthz and a tiny index at /) registered.
- * Construct, start(), attach observer() to the engine, run, stop().
+ * Construct, start(), feed the service snapshots, stop().
  */
 class TelemetryServer
 {
@@ -256,13 +203,6 @@ class TelemetryServer
 
     TelemetryService& service() { return _service; }
     HttpServer& http() { return _http; }
-
-    /**
-     * An engine generation observer feeding this service. Safe to
-     * install alongside the run writer and flight recorder; never
-     * touches the GA RNG or the run directory.
-     */
-    core::Engine::GenerationCallback observer();
 
   private:
     TelemetryService _service;

@@ -83,8 +83,8 @@ struct RunReport
 
     /**
      * Evolution analytics, present when the run recorded
-     * analytics.csv (runs predating the analytics subsystem, or with
-     * <output analytics="false"/>, summarize without it).
+     * analytics.csv (runs recorded by older builds without it
+     * summarize without it).
      */
     bool hasAnalytics = false;
     double finalGeneEntropyBits = 0.0;

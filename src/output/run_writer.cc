@@ -111,32 +111,37 @@ RunWriter::writeRunMetadata(const std::string& config_text,
     }
 }
 
-core::Engine::GenerationCallback
-RunWriter::callback()
+void
+RunWriter::writeGeneration(const core::Population& pop,
+                           const core::GenerationRecord& record)
 {
     static stats::Histogram& ioUs =
         stats::StatsRegistry::instance().histogram(
             "output.io_us", "run-directory writes per generation (us)",
             0.0, 100000.0, 40);
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        const bool record_io = stats::enabled() || _trace;
-        const double start = record_io ? stats::nowUs() : 0.0;
-        writePopulation(pop);
-        double io_ms = 0.0;
-        if (record_io) {
-            const double elapsed = stats::nowUs() - start;
-            ioUs.sample(elapsed);
-            io_ms = elapsed / 1000.0;
-            if (_trace) {
-                _trace->completeEvent(
-                    "write run dir", "io", 0, start, elapsed,
-                    {{"generation",
-                      static_cast<double>(pop.generation)}});
-            }
+    const bool record_io = stats::enabled() || _trace;
+    const double start = record_io ? stats::nowUs() : 0.0;
+    writePopulation(pop);
+    double io_ms = 0.0;
+    if (record_io) {
+        const double elapsed = stats::nowUs() - start;
+        ioUs.sample(elapsed);
+        io_ms = elapsed / 1000.0;
+        if (_trace) {
+            _trace->completeEvent(
+                "write run dir", "io", 0, start, elapsed,
+                {{"generation", static_cast<double>(pop.generation)}});
         }
-        if (_options.writeHistoryCsv)
-            appendHistory(record, io_ms);
+    }
+    if (_options.writeHistoryCsv)
+        appendHistory(record, io_ms);
+}
+
+core::Engine::GenerationCallback
+RunWriter::callback()
+{
+    return [this](const core::GenerationView& view) {
+        writeGeneration(view.population, view.record);
     };
 }
 

@@ -80,15 +80,15 @@ class RunWriter
      * and header written on the first call): fitness, diversity, the
      * fitness-cache hit/miss counters and the per-phase milliseconds
      * of that generation. @p io_ms is the time this writer spent
-     * recording the generation's artifacts (callback() fills it in;
-     * direct callers may pass 0).
+     * recording the generation's artifacts (writeGeneration() fills it
+     * in; direct callers may pass 0).
      */
     void appendHistory(const core::GenerationRecord& record,
                        double io_ms = 0.0);
 
     /**
-     * Attach a Chrome-trace writer (may be null): callback() then
-     * emits one "write run dir" span per generation on tid 0. The
+     * Attach a Chrome-trace writer (may be null): writeGeneration()
+     * then emits one "write run dir" span per generation on tid 0. The
      * writer must outlive this RunWriter.
      */
     void setTraceWriter(TraceWriter* trace) { _trace = trace; }
@@ -96,6 +96,13 @@ class RunWriter
     /** Copy configuration/template text into the run directory. */
     void writeRunMetadata(const std::string& config_text,
                           const std::string& template_text);
+
+    /**
+     * Record one evaluated generation: its population (individuals +
+     * checkpoint) and its history.csv row, timed as output I/O.
+     */
+    void writeGeneration(const core::Population& pop,
+                         const core::GenerationRecord& record);
 
     /**
      * Convenience: an Engine generation callback that records every

@@ -66,7 +66,7 @@ applyCoverage(const json::Value& coverage, TopSnapshot& out)
     const std::uint64_t total = static_cast<std::uint64_t>(
         coverage.numberOr("cells_total", 0.0));
     if (total == 0)
-        return;  // "coverage not recorded" placeholder
+        return;  // pre-generation placeholder
     out.hasCoverage = true;
     out.coverageCellsTotal = total;
     out.coverageCellsSeen = static_cast<std::uint64_t>(

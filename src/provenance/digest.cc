@@ -49,43 +49,31 @@ populationDigest(const isa::InstructionLibrary& lib,
     return hasher.finishHex();
 }
 
-DigestLedger::DigestLedger(std::string run_dir,
-                           const isa::InstructionLibrary& lib)
-    : _runDir(std::move(run_dir)), _lib(lib)
-{
-    ensureDir(_runDir);
-}
-
-void
-DigestLedger::append(const core::Population& pop,
-                     const core::GenerationRecord& record)
+std::string
+DigestLedger::seal(const core::Population& pop)
 {
     const double start = stats::nowUs();
-    const std::string digest = populationDigest(_lib, pop);
-
-    std::ofstream out(path(),
-                      _started ? std::ios::app : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", path());
-    if (!_started) {
-        out << "# gest-digests v" << digestsCsvVersion << "\n";
-        out << "generation,best_fitness,population_digest\n";
-        _started = true;
-    }
-    out.precision(17);
-    out << record.generation << ',' << record.bestFitness << ','
-        << digest << '\n';
+    std::string digest = populationDigest(_lib, pop);
     ++_rows;
     _digestUs += stats::nowUs() - start;
+    return digest;
 }
 
-core::Engine::GenerationCallback
-DigestLedger::observer()
+std::string
+digestsCsvHeader()
 {
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        append(pop, record);
-    };
+    return "# gest-digests v" + std::to_string(digestsCsvVersion) +
+           "\ngeneration,best_fitness,population_digest\n";
+}
+
+std::string
+formatDigestRow(int generation, double best_fitness,
+                const std::string& digest)
+{
+    std::ostringstream out;
+    out.precision(17);
+    out << generation << ',' << best_fitness << ',' << digest << '\n';
+    return out.str();
 }
 
 bool

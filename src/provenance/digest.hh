@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hh"
 #include "core/population.hh"
 
 namespace gest {
@@ -62,40 +61,38 @@ struct DigestRow
 };
 
 /**
- * Appends one digest row per evaluated generation to
- * `<run_dir>/digests.csv`. Attach via Engine::addGenerationObserver();
- * the ledger only reads const views and never touches the GA RNG, so
- * all other artifacts are bit-identical with the ledger on or off.
+ * Digests one population per evaluated generation and keeps the run
+ * totals the manifest records; the run pipeline writes the rows into
+ * `<run_dir>/digests.csv`. Reads const views only.
  */
 class DigestLedger
 {
   public:
     /** @param lib must outlive the ledger. */
-    DigestLedger(std::string run_dir, const isa::InstructionLibrary& lib);
+    explicit DigestLedger(const isa::InstructionLibrary& lib) : _lib(lib)
+    {}
 
-    /** Digest @p pop and append its row (header on the first call). */
-    void append(const core::Population& pop,
-                const core::GenerationRecord& record);
+    /** Digest @p pop and count it as sealed. */
+    std::string seal(const core::Population& pop);
 
-    /** An engine observer that forwards to append(). */
-    core::Engine::GenerationCallback observer();
-
-    /** Rows appended so far. */
+    /** Digests sealed so far. */
     std::uint64_t rowsSealed() const { return _rows; }
 
     /** Microseconds spent serializing + hashing, run total. */
     double digestUsTotal() const { return _digestUs; }
 
-    /** The ledger file's path. */
-    std::string path() const { return _runDir + "/digests.csv"; }
-
   private:
-    std::string _runDir;
     const isa::InstructionLibrary& _lib;
-    bool _started = false;
     std::uint64_t _rows = 0;
     double _digestUs = 0.0;
 };
+
+/** The digests.csv version and column header lines. */
+std::string digestsCsvHeader();
+
+/** One digests.csv line. */
+std::string formatDigestRow(int generation, double best_fitness,
+                            const std::string& digest);
 
 /**
  * Parse `<run_dir>/digests.csv`. @return false — with @p error set —

@@ -193,15 +193,10 @@ formatManifest(const Manifest& m)
                : "null")
        << ",\n";
     os << "    \"waveform_top_k\": " << m.waveformTopK << ",\n";
-    os << "    \"record_stats\": " << (m.recordStats ? "true" : "false")
-       << ",\n";
-    os << "    \"record_analytics\": "
-       << (m.recordAnalytics ? "true" : "false");
-    // Only emitted when on: manifests of runs without coverage or
-    // attribution stay byte-identical to pre-feature builds (the
-    // digests_sealed optional-key convention).
-    if (m.recordCoverage)
-        os << ",\n    \"record_coverage\": true";
+    os << "    \"record_stats\": " << (m.recordStats ? "true" : "false");
+    // Only emitted when on: manifests of runs without attribution stay
+    // byte-identical to pre-feature builds (the digests_sealed
+    // optional-key convention).
     if (m.recordAttribution)
         os << ",\n    \"record_attribution\": true";
     os << "\n  },\n";
@@ -311,11 +306,9 @@ loadManifest(const std::string& run_dir, Manifest& out, std::string* error)
             static_cast<int>(settings->numberOr("waveform_top_k", 0));
         if (const json::Value* stats = settings->find("record_stats"))
             out.recordStats = stats->boolean;
-        if (const json::Value* analytics =
-                settings->find("record_analytics"))
-            out.recordAnalytics = analytics->boolean;
-        if (const json::Value* cov = settings->find("record_coverage"))
-            out.recordCoverage = cov->boolean;
+        // Manifests sealed by older builds also carry record_analytics
+        // and record_coverage; those recorders now always run, so the
+        // keys are read past.
         if (const json::Value* attr =
                 settings->find("record_attribution"))
             out.recordAttribution = attr->boolean;

@@ -82,8 +82,6 @@ struct Manifest
     std::optional<bool> steadyStateOverride;
     int waveformTopK = 0;
     bool recordStats = true;
-    bool recordAnalytics = true;
-    bool recordCoverage = false;
     bool recordAttribution = false;
 
     // Run summary.

@@ -39,6 +39,8 @@ inferArtifactKind(const std::string& rel_path)
         return "waveform";
     if (rel_path == "coverage.csv")
         return "coverage";
+    if (rel_path == "alerts.csv")
+        return "alerts";
     if (startsWith(rel_path, "attribution/"))
         return "attribution";
     if (endsWith(rel_path, "trace.json"))
@@ -48,19 +50,10 @@ inferArtifactKind(const std::string& rel_path)
     return "other";
 }
 
-ProvenanceRecorder::ProvenanceRecorder(std::string run_dir,
-                                       const isa::InstructionLibrary& lib)
-    : _runDir(std::move(run_dir)), _lib(lib), _ledger(_runDir, lib)
-{}
-
 std::string
-ProvenanceRecorder::seal(const SealInfo& info,
-                         const std::map<std::string, std::string>& kinds)
+sealManifest(const std::string& run_dir, const SealInfo& info,
+             const std::map<std::string, std::string>& kinds)
 {
-    if (_sealed)
-        panic("ProvenanceRecorder::seal called twice for ", _runDir);
-    _sealed = true;
-
     Manifest m;
     m.configHash = canonicalConfigHash(info.configText);
     m.configBaseDir = info.configBaseDir;
@@ -77,27 +70,25 @@ ProvenanceRecorder::seal(const SealInfo& info,
     m.steadyStateOverride = info.steadyStateOverride;
     m.waveformTopK = info.waveformTopK;
     m.recordStats = info.recordStats;
-    m.recordAnalytics = info.recordAnalytics;
-    m.recordCoverage = info.recordCoverage;
     m.recordAttribution = info.recordAttribution;
     m.generationsCompleted = info.generationsCompleted;
     m.evaluations = info.evaluations;
     m.bestFitness = info.bestFitness;
     m.bestId = info.bestId;
-    m.digestsSealed = _ledger.rowsSealed();
-    m.digestMsTotal = _ledger.digestUsTotal() / 1000.0;
+    m.digestsSealed = info.digestsSealed;
+    m.digestMsTotal = info.digestMsTotal;
     fillBuildInfo(m);
 
     // Walk the run directory; sorted relative paths make the artifact
     // table deterministic across filesystems.
     std::vector<std::string> rel_paths;
     std::error_code ec;
-    for (fs::recursive_directory_iterator it(_runDir, ec), end;
+    for (fs::recursive_directory_iterator it(run_dir, ec), end;
          !ec && it != end; it.increment(ec)) {
         if (!it->is_regular_file(ec))
             continue;
         std::string rel =
-            fs::relative(it->path(), _runDir, ec).generic_string();
+            fs::relative(it->path(), run_dir, ec).generic_string();
         if (ec || rel.empty() || rel == "manifest.json")
             continue;
         rel_paths.push_back(std::move(rel));
@@ -107,7 +98,7 @@ ProvenanceRecorder::seal(const SealInfo& info,
     for (const std::string& rel : rel_paths) {
         ArtifactEntry entry;
         entry.path = rel;
-        const std::string full = _runDir + "/" + rel;
+        const std::string full = run_dir + "/" + rel;
         if (!sha256File(full, entry.sha256)) {
             warn("cannot checksum ", full, "; leaving it out of the "
                  "manifest");
@@ -121,7 +112,7 @@ ProvenanceRecorder::seal(const SealInfo& info,
         m.artifacts.push_back(std::move(entry));
     }
 
-    const std::string path = _runDir + "/manifest.json";
+    const std::string path = run_dir + "/manifest.json";
     writeFile(path, formatManifest(m));
     debug("provenance sealed: ", m.artifacts.size(), " artifacts, ",
           m.digestsSealed, " digests in ", path);

@@ -1,19 +1,13 @@
 /**
  * @file
- * The per-run provenance recorder: the digest ledger plus the final
- * manifest seal.
+ * The final manifest seal of a recorded run.
  *
- * One ProvenanceRecorder per recorded run, wired by the run driver
- * (config::runFromConfig). During the run its observer — attached with
- * Engine::addGenerationObserver() — appends one population digest per
- * evaluated generation to `digests.csv`. After every other artifact is
- * final (flight recorder sealed, analytics finished, stats dumped) the
- * driver calls seal(), which walks the run directory, checksums every
- * artifact and writes `manifest.json`.
- *
- * Recording is strictly observational: const views only, never the GA
- * RNG, so every pre-existing artifact is byte-identical with
- * provenance on or off.
+ * During the run the run pipeline appends one population digest per
+ * evaluated generation to `digests.csv` (DigestLedger). After every
+ * other artifact is final (flight recorder sealed, final heartbeat
+ * written, stats dumped) the run driver calls sealManifest(), which
+ * walks the run directory, checksums every artifact and writes
+ * `manifest.json`.
  */
 
 #ifndef GEST_PROVENANCE_PROVENANCE_HH
@@ -23,9 +17,7 @@
 #include <optional>
 #include <string>
 
-#include "core/engine.hh"
 #include "core/ga_params.hh"
-#include "provenance/digest.hh"
 #include "provenance/manifest.hh"
 
 namespace gest {
@@ -42,8 +34,6 @@ struct SealInfo
     std::optional<bool> steadyStateOverride;
     int waveformTopK = 0;
     bool recordStats = true;
-    bool recordAnalytics = true;
-    bool recordCoverage = false;
     bool recordAttribution = false;
 
     // Run outcome.
@@ -51,41 +41,20 @@ struct SealInfo
     std::uint64_t evaluations = 0;
     double bestFitness = 0.0;
     std::uint64_t bestId = 0;
+    std::uint64_t digestsSealed = 0;
+    double digestMsTotal = 0.0;
 };
 
-class ProvenanceRecorder
-{
-  public:
-    /** @param lib must outlive the recorder. */
-    ProvenanceRecorder(std::string run_dir,
-                       const isa::InstructionLibrary& lib);
-
-    /** The digest-ledger observer for Engine::addGenerationObserver. */
-    core::Engine::GenerationCallback observer()
-    {
-        return _ledger.observer();
-    }
-
-    /** Digest rows sealed so far (the status.json provider). */
-    std::uint64_t digestsSealed() const { return _ledger.rowsSealed(); }
-
-    /**
-     * Checksum every artifact under the run directory and write
-     * manifest.json. Call once, after all other artifacts are final.
-     * @param kinds artifact-kind labels by run-relative path (the
-     *        RunWriter's registry); unlisted artifacts get a kind
-     *        inferred from their name.
-     * @return the manifest's path.
-     */
-    std::string seal(const SealInfo& info,
-                     const std::map<std::string, std::string>& kinds);
-
-  private:
-    std::string _runDir;
-    const isa::InstructionLibrary& _lib;
-    DigestLedger _ledger;
-    bool _sealed = false;
-};
+/**
+ * Checksum every artifact under @p run_dir and write manifest.json.
+ * Call once, after all other artifacts are final.
+ * @param kinds artifact-kind labels by run-relative path (the
+ *        RunWriter's registry); unlisted artifacts get a kind inferred
+ *        from their name.
+ * @return the manifest's path.
+ */
+std::string sealManifest(const std::string& run_dir, const SealInfo& info,
+                         const std::map<std::string, std::string>& kinds);
 
 /**
  * @return the artifact kind inferred from a run-relative path

@@ -117,7 +117,7 @@ bisectGeneration(const std::string& run_dir,
            "row";
 }
 
-/** Per-run replay bookkeeping shared with the engine observer. */
+/** Per-run replay bookkeeping shared with the engine callback. */
 struct ReplayState
 {
     const std::vector<DigestRow>* rows = nullptr;
@@ -307,9 +307,10 @@ verifyRun(const std::string& run_dir, const VerifyOptions& options)
     state.rows = &rows;
     state.lib = &cfg.library;
     state.runDir = run_dir;
-    engine.addGenerationObserver(
-        [&state](const core::Population& pop,
-                 const core::GenerationRecord& record) {
+    engine.setGenerationCallback(
+        [&state](const core::GenerationView& view) {
+            const core::Population& pop = view.population;
+            const core::GenerationRecord& record = view.record;
             if (state.diverged)
                 return;
             if (state.next >= state.rows->size()) {

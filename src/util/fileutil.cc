@@ -50,6 +50,17 @@ writeFile(const std::string& path, const std::string& contents)
 }
 
 void
+appendFile(const std::string& path, const std::string& contents)
+{
+    std::ofstream outStream(path, std::ios::binary | std::ios::app);
+    if (!outStream)
+        fatal("cannot open '", path, "' for appending");
+    outStream << contents;
+    if (!outStream)
+        fatal("short write to '", path, "'");
+}
+
+void
 writeFileAtomic(const std::string& path, const std::string& contents)
 {
     const std::string tmp = path + ".tmp";

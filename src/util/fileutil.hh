@@ -20,6 +20,9 @@ bool tryReadFile(const std::string& path, std::string& out);
 /** Write @p contents to @p path, creating parent directories. */
 void writeFile(const std::string& path, const std::string& contents);
 
+/** Append @p contents to the existing file @p path. */
+void appendFile(const std::string& path, const std::string& contents);
+
 /**
  * Atomically replace @p path with @p contents: write to a sibling
  * temporary file, then rename() over the target, so a concurrent

@@ -3,8 +3,8 @@
  * Unit tests for the evolution-analytics subsystem: population
  * analytics math against hand computations, the lineage ledger and its
  * parser, champion-ancestry reconstruction (including resumed runs),
- * the recorder attached to a real engine run, and the bit-identical
- * guarantee with analytics on versus off.
+ * the run pipeline attached to a real engine run, and the bit-identical
+ * guarantee with the pipeline attached or not.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 
 #include "analysis/analytics.hh"
 #include "analysis/lineage.hh"
-#include "analysis/recorder.hh"
+#include "config/pipeline.hh"
 #include "core/engine.hh"
 #include "isa/standard_libs.hh"
 #include "util/fileutil.hh"
@@ -204,10 +204,8 @@ TEST(Analytics, WriterParserRoundTrip)
     row.mutationChildren = 9;
     row.mutationImproved = 2;
     row.eliteCopies = 1;
-    {
-        AnalyticsWriter writer(dir + "/analytics.csv");
-        writer.append(row);
-    }
+    writeFile(dir + "/analytics.csv",
+              analyticsCsvHeader() + formatAnalyticsRow(row));
     std::vector<AnalyticsRow> rows;
     ASSERT_TRUE(tryLoadAnalytics(dir, rows));
     ASSERT_EQ(rows.size(), 1u);
@@ -230,50 +228,48 @@ TEST(Analytics, WriterParserRoundTrip)
 TEST(LineageLedger, SealParseRoundTrip)
 {
     const std::string dir = makeTempDir("gest-analysis");
-    LineageLedger ledger(dir + "/lineage.csv");
+    LineageLedger ledger;
+    std::string csv = lineageCsvHeader();
 
     core::Population gen0;
+    std::vector<core::Birth> births0;
     for (std::uint64_t id = 1; id <= 2; ++id) {
         core::Individual ind;
         ind.id = id;
         ind.fitness = static_cast<double>(id) * 0.5;
         ind.evaluated = true;
         gen0.individuals.push_back(ind);
-
-        LineageEvent birth;
-        birth.generation = 0;
-        birth.id = id;
-        birth.op = BirthOp::Seed;
-        ledger.recordBirth(birth);
+        births0.push_back({BirthOp::Seed, id, 0, 0, {}});
     }
-    EXPECT_EQ(ledger.sealGeneration(gen0).size(), 2u);
+    core::GenerationRecord record0;
+    const std::vector<LineageEvent> sealed0 =
+        ledger.seal({gen0, record0, births0});
+    EXPECT_EQ(sealed0.size(), 2u);
+    csv += formatLineageRows(sealed0);
 
-    LineageEvent child;
-    child.generation = 1;
-    child.id = 3;
-    child.op = BirthOp::Mutation;
-    child.parent1 = 1;
-    child.parent2 = 2;
-    child.mutatedGenes = {4, 7};
-    ledger.recordBirth(child);
     core::Population gen1;
     core::Individual ind;
     ind.id = 3;
     ind.fitness = 1.75;
     ind.evaluated = true;
     gen1.individuals.push_back(ind);
-    ledger.sealGeneration(gen1);
-    EXPECT_EQ(ledger.sealedEvents(), 3u);
+    const std::vector<core::Birth> births1 = {
+        {BirthOp::Mutation, 3, 1, 2, {4, 7}}};
+    core::GenerationRecord record1;
+    record1.generation = 1;
+    csv += formatLineageRows(ledger.seal({gen1, record1, births1}));
 
     double fitness = 0.0;
     ASSERT_TRUE(ledger.fitnessOf(3, fitness));
     EXPECT_DOUBLE_EQ(fitness, 1.75);
     EXPECT_FALSE(ledger.fitnessOf(99, fitness));
 
+    writeFile(dir + "/lineage.csv", csv);
     const std::vector<LineageEvent> events = loadLineage(dir);
     ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(events[0].op, BirthOp::Seed);
     EXPECT_DOUBLE_EQ(events[0].fitness, 0.5);
+    EXPECT_EQ(events[2].generation, 1);
     EXPECT_EQ(events[2].id, 3u);
     EXPECT_EQ(events[2].parent1, 1u);
     EXPECT_EQ(events[2].parent2, 2u);
@@ -390,9 +386,21 @@ TEST(Ancestry, EmptyLedgerFatals)
     EXPECT_THROW(championAncestry({}), FatalError);
 }
 
-// ------------------------------------------- recorder on a real run
+// -------------------------------------------- pipeline on a real run
 
-TEST(Recorder, ReplayedRunReconstructsChampionToGenerationZero)
+/** A run configuration deploying only the run directory @p dir. */
+config::RunConfig
+runDirConfig(const isa::InstructionLibrary& lib,
+             const core::GaParams& params, const std::string& dir)
+{
+    config::RunConfig cfg;
+    cfg.library = lib;
+    cfg.ga = params;
+    cfg.outputDirectory = dir;
+    return cfg;
+}
+
+TEST(RunPipeline, ReplayedRunReconstructsChampionToGenerationZero)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     ClassCountMeasurement meas(lib, isa::InstrClass::FloatSimd);
@@ -401,10 +409,11 @@ TEST(Recorder, ReplayedRunReconstructsChampionToGenerationZero)
     const std::string dir = makeTempDir("gest-analysis");
 
     core::Engine engine(params, lib, meas, fit);
-    Recorder recorder(dir, lib, params.generations);
-    engine.setAnalytics(&recorder);
+    const config::RunConfig cfg = runDirConfig(lib, params, dir);
+    config::RunPipeline pipeline(cfg, meas);
+    engine.setGenerationCallback(pipeline.callback());
     engine.run();
-    recorder.finish();
+    pipeline.finish();
 
     // The ledger replays to the champion the engine actually found.
     const std::vector<LineageEvent> events = loadLineage(dir);
@@ -430,19 +439,20 @@ TEST(Recorder, ReplayedRunReconstructsChampionToGenerationZero)
 
     // One analytics row per generation, and the last row's mix matches
     // an independent recount of the final population.
-    ASSERT_EQ(recorder.rows().size(),
-              static_cast<std::size_t>(params.generations));
-    EXPECT_EQ(recorder.rows().back().classMix,
+    std::vector<AnalyticsRow> rows;
+    ASSERT_TRUE(tryLoadAnalytics(dir, rows));
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(params.generations));
+    EXPECT_EQ(rows.back().classMix,
               populationClassMix(lib, engine.population()));
 
     // status.json exists and reports completion.
-    const std::string status = readFile(recorder.statusPath());
+    const std::string status = readFile(dir + "/status.json");
     EXPECT_NE(status.find("\"state\": \"completed\""),
               std::string::npos);
     removeAll(dir);
 }
 
-TEST(Recorder, ResultsAreBitIdenticalWithAnalyticsOnOrOff)
+TEST(RunPipeline, ResultsAreBitIdenticalWithPipelineOnOrOff)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     fitness::DefaultFitness fit;
@@ -451,10 +461,11 @@ TEST(Recorder, ResultsAreBitIdenticalWithAnalyticsOnOrOff)
 
     ClassCountMeasurement m1(lib, isa::InstrClass::Mem);
     core::Engine with(params, lib, m1, fit);
-    Recorder recorder(dir, lib, params.generations);
-    with.setAnalytics(&recorder);
+    const config::RunConfig cfg = runDirConfig(lib, params, dir);
+    config::RunPipeline pipeline(cfg, m1);
+    with.setGenerationCallback(pipeline.callback());
     with.run();
-    recorder.finish();
+    pipeline.finish();
 
     ClassCountMeasurement m2(lib, isa::InstrClass::Mem);
     core::Engine without(params, lib, m2, fit);
@@ -476,14 +487,14 @@ TEST(Recorder, ResultsAreBitIdenticalWithAnalyticsOnOrOff)
     removeAll(dir);
 }
 
-TEST(Recorder, ResumedRunToleratesPreLedgerAncestors)
+TEST(RunPipeline, ResumedRunToleratesPreLedgerAncestors)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     fitness::DefaultFitness fit;
     const core::GaParams params = smallParams();
     const std::string dir = makeTempDir("gest-analysis");
 
-    // First run: no recorder at all, so its lineage is never written.
+    // First run: no pipeline at all, so its lineage is never written.
     ClassCountMeasurement m1(lib, isa::InstrClass::FloatSimd);
     core::Engine first(params, lib, m1, fit);
     first.run();
@@ -506,15 +517,16 @@ TEST(Recorder, ResumedRunToleratesPreLedgerAncestors)
     }
     EXPECT_TRUE(any_parent);
 
-    // Second run seeds from the checkpoint with a recorder attached:
+    // Second run seeds from the checkpoint with the pipeline attached:
     // its ledger starts fresh, so every carried parent id is unknown.
     ClassCountMeasurement m2(lib, isa::InstrClass::FloatSimd);
     core::Engine second(params, lib, m2, fit);
     second.setSeedPopulation(reloaded);
-    Recorder recorder(dir, lib, params.generations);
-    second.setAnalytics(&recorder);
+    const config::RunConfig cfg = runDirConfig(lib, params, dir);
+    config::RunPipeline pipeline(cfg, m2);
+    second.setGenerationCallback(pipeline.callback());
     second.run();
-    recorder.finish();
+    pipeline.finish();
 
     const std::vector<LineageEvent> events = loadLineage(dir);
     std::size_t resumed = 0;

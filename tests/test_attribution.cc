@@ -4,8 +4,8 @@
  * class-neutral filler and its decode-invariance property, gene-by-gene
  * fitness attribution (determinism, bookkeeping invariants, artifact
  * formats) and the search-space coverage ledger (cell universe,
- * idempotent observation, the generation observer's CSV, and artifact
- * byte-identity of a run with the whole subsystem off vs on).
+ * idempotent observation, the per-generation CSV and JSON renderings,
+ * and the artifacts a run seals).
  */
 
 #include <gtest/gtest.h>
@@ -450,18 +450,10 @@ TEST(Coverage, ObserveIsIdempotent)
     EXPECT_EQ(ledger.cellsSeen(), fresh);
 }
 
-TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
+TEST(Coverage, GenerationTicksRenderAsCsvAndJson)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     attribution::CoverageLedger ledger(lib);
-    const std::string dir = makeTempDir("gest-coverage");
-    ledger.setCsvPath(dir + "/coverage.csv");
-
-    std::vector<attribution::CoverageLedger::Snapshot> seen;
-    ledger.setGenerationListener(
-        [&](const attribution::CoverageLedger::Snapshot& s) {
-            seen.push_back(s);
-        });
 
     Rng rng(11);
     core::Population pop;
@@ -474,11 +466,12 @@ TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
         pop.individuals.push_back(ind);
     }
 
+    std::vector<attribution::CoverageLedger::Snapshot> seen;
     core::GenerationRecord record;
     record.generation = 0;
-    ledger.onGenerationEvaluated(pop, record);
+    seen.push_back(ledger.onGenerationEvaluated(pop, record));
     record.generation = 1;
-    ledger.onGenerationEvaluated(pop, record);
+    seen.push_back(ledger.onGenerationEvaluated(pop, record));
 
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[0].generation, 0);
@@ -489,7 +482,9 @@ TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
     EXPECT_GT(seen[0].saturationPct, 0.0);
     EXPECT_LE(seen[0].saturationPct, 100.0);
 
-    const std::string csv = readFile(dir + "/coverage.csv");
+    const std::string csv = attribution::coverageCsvHeader(ledger) +
+                            attribution::formatCoverageCsvRow(seen[0]) +
+                            attribution::formatCoverageCsvRow(seen[1]);
     EXPECT_TRUE(startsWith(csv, "# gest-coverage v1\n"));
     EXPECT_NE(csv.find("# cells_total "), std::string::npos);
     EXPECT_NE(
@@ -499,7 +494,7 @@ TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
     EXPECT_NE(csv.find("\n0,"), std::string::npos);
     EXPECT_NE(csv.find("\n1,"), std::string::npos);
 
-    const std::string js = ledger.coverageJson();
+    const std::string js = attribution::formatCoverageJson(seen[1]);
     json::Value parsed;
     ASSERT_TRUE(json::parse(js, parsed, nullptr)) << js;
     EXPECT_EQ(parsed.numberOr("cells_total", 0),
@@ -508,12 +503,11 @@ TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
     ASSERT_NE(parsed.find("classes"), nullptr);
     EXPECT_EQ(parsed.find("classes")->array.size(),
               static_cast<std::size_t>(isa::numInstrClasses));
-    removeAll(dir);
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: the subsystem off leaves every shared artifact
-// byte-identical; on, it only adds files.
+// End-to-end: a run directory always gets coverage.csv; attribution
+// adds its artifacts, and the manifest seals both.
 
 const char* kRunConfig = R"(
 <gest_configuration>
@@ -527,54 +521,37 @@ const char* kRunConfig = R"(
 </gest_configuration>
 )";
 
-TEST(Coverage, RunArtifactsByteIdenticalWithSubsystemOff)
+TEST(Coverage, RunSealsCoverageAndAttributionArtifacts)
 {
-    const std::string dir = makeTempDir("gest-attr-onoff");
+    const std::string dir = makeTempDir("gest-attr-run");
 
-    config::RunConfig off = config::parseConfig(kRunConfig);
-    off.outputDirectory = dir + "/off";
-    const config::RunResult off_result = config::runFromConfig(off);
+    config::RunConfig cfg = config::parseConfig(kRunConfig);
+    cfg.outputDirectory = dir;
+    cfg.recordAttribution = true;
+    const config::RunResult result = config::runFromConfig(cfg);
 
-    config::RunConfig on = config::parseConfig(kRunConfig);
-    on.outputDirectory = dir + "/on";
-    on.recordCoverage = true;
-    on.recordAttribution = true;
-    const config::RunResult on_result = config::runFromConfig(on);
-
-    EXPECT_DOUBLE_EQ(off_result.best.fitness, on_result.best.fitness);
-    EXPECT_EQ(off_result.best.id, on_result.best.id);
-
-    // Observation only: every artifact the plain run writes is
-    // byte-identical (history.csv and the stats dumps carry wall-clock
-    // noise; everything content-bearing must match).
-    for (const char* name :
-         {"digests.csv", "population_0.pop", "population_1.pop",
-          "population_2.pop", "lineage.csv", "analytics.csv"}) {
-        EXPECT_EQ(readFile(dir + "/off/" + name),
-                  readFile(dir + "/on/" + name))
-            << name;
-    }
-
-    // The enabled run adds its artifacts and seals them in the
-    // manifest; the plain run has neither.
-    EXPECT_FALSE(fileExists(dir + "/off/coverage.csv"));
-    EXPECT_FALSE(dirExists(dir + "/off/attribution"));
-    EXPECT_TRUE(fileExists(dir + "/on/coverage.csv"));
-    EXPECT_FALSE(on_result.coverageFile.empty());
-    ASSERT_FALSE(on_result.attributionFiles.empty());
-    for (const std::string& path : on_result.attributionFiles)
+    EXPECT_EQ(result.coverageFile, dir + "/coverage.csv");
+    EXPECT_TRUE(fileExists(result.coverageFile));
+    ASSERT_FALSE(result.attributionFiles.empty());
+    for (const std::string& path : result.attributionFiles)
         EXPECT_TRUE(fileExists(path)) << path;
 
-    const std::string off_manifest = readFile(dir + "/off/manifest.json");
-    const std::string on_manifest = readFile(dir + "/on/manifest.json");
-    EXPECT_EQ(off_manifest.find("record_coverage"), std::string::npos);
-    EXPECT_NE(on_manifest.find("\"record_coverage\": true"),
+    // One coverage row per generation after the header.
+    std::size_t rows = 0;
+    for (const std::string& line :
+         split(readFile(result.coverageFile), '\n'))
+        rows += !line.empty() && line[0] != '#' &&
+                !startsWith(line, "generation");
+    EXPECT_EQ(rows, 3u);
+
+    // Coverage is no longer a setting, so the manifest records only
+    // the attribution opt-in.
+    const std::string manifest = readFile(dir + "/manifest.json");
+    EXPECT_EQ(manifest.find("record_coverage"), std::string::npos);
+    EXPECT_NE(manifest.find("\"record_attribution\": true"),
               std::string::npos);
-    EXPECT_NE(on_manifest.find("\"record_attribution\": true"),
-              std::string::npos);
-    EXPECT_NE(on_manifest.find("\"kind\": \"coverage\""),
-              std::string::npos);
-    EXPECT_NE(on_manifest.find("\"kind\": \"attribution\""),
+    EXPECT_NE(manifest.find("\"kind\": \"coverage\""), std::string::npos);
+    EXPECT_NE(manifest.find("\"kind\": \"attribution\""),
               std::string::npos);
     removeAll(dir);
 }

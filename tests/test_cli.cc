@@ -193,14 +193,17 @@ TEST_F(CliTest, RunWithTraceWritesObservabilityArtifacts)
 TEST_F(CliTest, ReportSummarizesARun)
 {
     std::string output;
-    ASSERT_EQ(runCli("run '" + _dir + "/config.xml' --quiet", output,
-                     _dir),
-              0)
-        << output;
-    // --quiet suppresses the inform() banner and progress lines.
-    EXPECT_EQ(output.find("running GA:"), std::string::npos);
-    EXPECT_EQ(output.find("gen "), std::string::npos);
-    EXPECT_NE(output.find("best individual"), std::string::npos);
+    // --quiet suppresses the inform() banner and progress lines, as a
+    // global flag before the subcommand or after its arguments.
+    for (const std::string& args :
+         {"run '" + _dir + "/config.xml' --quiet",
+          "--quiet run '" + _dir + "/config.xml'"}) {
+        ASSERT_EQ(runCli(args, output, _dir), 0) << args << output;
+        EXPECT_EQ(output.find("running GA:"), std::string::npos) << args;
+        EXPECT_EQ(output.find("gen "), std::string::npos) << args;
+        EXPECT_NE(output.find("best individual"), std::string::npos)
+            << args;
+    }
 
     ASSERT_EQ(runCli("report '" + _dir + "/run_out'", output, _dir), 0)
         << output;
@@ -290,57 +293,6 @@ TEST_F(CliTest, ReportJsonIsMachineReadable)
     EXPECT_NE(output.find("\"phase_ms\""), std::string::npos);
     EXPECT_NE(output.find("\"analytics\""), std::string::npos);
     EXPECT_NE(output.find("\"mutation_children\""), std::string::npos);
-}
-
-TEST_F(CliTest, AnalyticsOffIsBitIdenticalAndSuppressesArtifacts)
-{
-    // Same seed, stats off (the v2 timing columns are wall-clock and
-    // would differ between runs); the only variable is analytics.
-    const char* config_template = R"(
-<gest_configuration>
-  <ga population_size="8" individual_size="6" mutation_rate="0.2"
-      tournament_size="3" generations="3" seed="11"/>
-  <library name="arm"/>
-  <measurement class="SimPowerMeasurement">
-    <config platform="cortex-a7" min_cycles="1024"/>
-  </measurement>
-  <fitness class="DefaultFitness"/>
-  <output directory="%s" stats="false" analytics="%s"/>
-</gest_configuration>
-)";
-    char on_cfg[1024], off_cfg[1024];
-    std::snprintf(on_cfg, sizeof(on_cfg), config_template, "run_on",
-                  "true");
-    std::snprintf(off_cfg, sizeof(off_cfg), config_template, "run_off",
-                  "false");
-    writeFile(_dir + "/on.xml", on_cfg);
-    writeFile(_dir + "/off.xml", off_cfg);
-
-    std::string output;
-    ASSERT_EQ(runCli("run '" + _dir + "/on.xml' --quiet", output, _dir),
-              0)
-        << output;
-    ASSERT_EQ(runCli("run '" + _dir + "/off.xml' --quiet", output,
-                     _dir),
-              0)
-        << output;
-
-    // Bit-identical search with analytics on or off.
-    EXPECT_EQ(readFile(_dir + "/run_on/history.csv"),
-              readFile(_dir + "/run_off/history.csv"));
-    EXPECT_EQ(readFile(_dir + "/run_on/population_2.pop"),
-              readFile(_dir + "/run_off/population_2.pop"));
-
-    // analytics="false" suppresses the artifacts entirely.
-    EXPECT_TRUE(fileExists(_dir + "/run_on/lineage.csv"));
-    EXPECT_FALSE(fileExists(_dir + "/run_off/lineage.csv"));
-    EXPECT_FALSE(fileExists(_dir + "/run_off/analytics.csv"));
-    EXPECT_FALSE(fileExists(_dir + "/run_off/status.json"));
-
-    // explain on the analytics-less run fails with an actionable hint.
-    EXPECT_NE(runCli("explain '" + _dir + "/run_off'", output, _dir),
-              0);
-    EXPECT_NE(output.find("analytics"), std::string::npos);
 }
 
 TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)

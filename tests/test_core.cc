@@ -667,9 +667,15 @@ TEST(Engine, CallbackSeesEveryGeneration)
     core::Engine engine(params, lib, meas, fit);
     int called = 0;
     engine.setGenerationCallback(
-        [&called](const Population& pop, const GenerationRecord& rec) {
-            EXPECT_EQ(pop.generation, rec.generation);
-            EXPECT_EQ(rec.generation, called);
+        [&called](const GenerationView& view) {
+            EXPECT_EQ(view.population.generation, view.record.generation);
+            EXPECT_EQ(view.record.generation, called);
+            // One birth per individual, in population order.
+            ASSERT_EQ(view.births.size(),
+                      view.population.individuals.size());
+            for (std::size_t i = 0; i < view.births.size(); ++i)
+                EXPECT_EQ(view.births[i].id,
+                          view.population.individuals[i].id);
             ++called;
         });
     engine.run();

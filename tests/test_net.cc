@@ -2,9 +2,10 @@
  * @file
  * Tests for the live telemetry plane: the embedded HTTP server, the
  * minimal GET client, the JSON reader, the lock-free generation event
- * buffer, the Prometheus renderer, the engine observer hook, and the
- * end-to-end guarantees the plane makes — concurrent scrapes during a
- * real GA run and byte-identical artifacts with the server on or off.
+ * buffer, the Prometheus renderer, the run pipeline, and the end-to-end
+ * guarantees the plane makes — concurrent scrapes during a real GA run,
+ * an unperturbed search with every sink on and byte-identical artifacts
+ * with the server on or off.
  * Build with -DGEST_SANITIZE=thread to run the hammer test under TSan.
  */
 
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "config/config.hh"
+#include "config/pipeline.hh"
 #include "core/engine.hh"
 #include "fitness/fitness.hh"
 #include "measure/sim_measurements.hh"
@@ -30,6 +32,7 @@
 #include "net/telemetry.hh"
 #include "output/top.hh"
 #include "platform/platform.hh"
+#include "provenance/digest.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
@@ -51,6 +54,17 @@ smallParams(std::uint64_t seed, int generations = 6)
     params.seed = seed;
     params.threads = 1;
     return params;
+}
+
+/** A run configuration over @p lib that deploys only the live server. */
+config::RunConfig
+listenOnly(const isa::InstructionLibrary& lib, const GaParams& params)
+{
+    config::RunConfig cfg;
+    cfg.library = lib;
+    cfg.ga = params;
+    cfg.listenAddress = "127.0.0.1:0";
+    return cfg;
 }
 
 // ------------------------------------------------------------ jsonlite
@@ -253,34 +267,58 @@ TEST(HttpServer, RefusesNonGetAndOversizedRequests)
     server.stop();
 }
 
-// ----------------------------------------------------- engine observers
+// ------------------------------------------------------- run pipeline
 
-TEST(EngineObservers, StackAndRunAfterTheCallback)
+TEST(Pipeline, EverySinkLeavesTheSearchBitIdentical)
 {
     const auto a15 = platform::cortexA15Platform();
     const isa::InstructionLibrary& lib = a15->library();
-    measure::SimPowerMeasurement meas(lib, a15);
     fitness::DefaultFitness fit;
-    Engine engine(smallParams(3), lib, meas, fit);
+    const GaParams params = smallParams(17, 6);
 
-    std::vector<int> order;
-    engine.setGenerationCallback(
-        [&](const core::Population&, const core::GenerationRecord&) {
-            order.push_back(0);
-        });
-    engine.addGenerationObserver(
-        [&](const core::Population&, const core::GenerationRecord&) {
-            order.push_back(1);
-        });
-    engine.addGenerationObserver(
-        [&](const core::Population&, const core::GenerationRecord&) {
-            order.push_back(2);
-        });
-    engine.initialize();
-    ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    engine.run();
-    EXPECT_EQ(order.size(), 3u * 6);  // one triple per generation
+    // A bare engine: no callback, so no births are even tracked.
+    measure::SimPowerMeasurement bare_meas(lib, a15);
+    Engine bare(params, lib, bare_meas, fit);
+    bare.run();
+
+    // The full pipeline: run directory (every artifact, waveforms,
+    // provenance) plus the live server.
+    const std::string dir = makeTempDir("gest-pipeline");
+    config::RunConfig cfg = listenOnly(lib, params);
+    cfg.outputDirectory = dir;
+    cfg.waveformTopK = 2;
+    measure::SimPowerMeasurement full_meas(lib, a15);
+    Engine full(params, lib, full_meas, fit);
+    {
+        config::RunPipeline pipeline(cfg, full_meas);
+        full.setGenerationCallback(pipeline.callback());
+        full.run();
+        EXPECT_FALSE(pipeline.sealWaveforms().empty());
+        pipeline.finish();
+    }
+
+    ASSERT_EQ(bare.history().size(), full.history().size());
+    for (std::size_t g = 0; g < bare.history().size(); ++g) {
+        const core::GenerationRecord& a = bare.history()[g];
+        const core::GenerationRecord& b = full.history()[g];
+        EXPECT_EQ(a.generation, b.generation);
+        EXPECT_EQ(a.bestFitness, b.bestFitness);
+        EXPECT_EQ(a.averageFitness, b.averageFitness);
+        EXPECT_EQ(a.bestId, b.bestId);
+        EXPECT_EQ(a.bestUniqueInstructions, b.bestUniqueInstructions);
+        EXPECT_EQ(a.bestBreakdown, b.bestBreakdown);
+        EXPECT_EQ(a.diversity, b.diversity);
+        EXPECT_EQ(a.cacheHits, b.cacheHits);
+        EXPECT_EQ(a.cacheMisses, b.cacheMisses);
+    }
+    EXPECT_EQ(provenance::populationDigest(lib, bare.population()),
+              provenance::populationDigest(lib, full.population()));
+    EXPECT_EQ(bare.bestEver().id, full.bestEver().id);
+    EXPECT_EQ(bare.bestEver().code, full.bestEver().code);
+    EXPECT_EQ(bare.bestEver().fitness, full.bestEver().fitness);
+    EXPECT_EQ(bare.bestEver().measurements, full.bestEver().measurements);
+    EXPECT_EQ(bare.evaluations(), full.evaluations());
+    removeAll(dir);
 }
 
 // --------------------------------------------------- telemetry service
@@ -293,13 +331,13 @@ TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
     fitness::DefaultFitness fit;
     Engine engine(smallParams(5, 5), lib, meas, fit);
 
-    net::TelemetryServer telemetry("127.0.0.1:0", lib, 5);
-    telemetry.start();
-    engine.addGenerationObserver(telemetry.observer());
+    const config::RunConfig cfg = listenOnly(lib, smallParams(5, 5));
+    config::RunPipeline pipeline(cfg, meas);
+    engine.setGenerationCallback(pipeline.callback());
     engine.run();
-    telemetry.service().noteRunCompleted();
+    pipeline.finish();
 
-    const std::string base = telemetry.address();
+    const std::string base = pipeline.listenAddress();
 
     net::HttpResult res = net::httpGet(base + "/status");
     ASSERT_TRUE(res.ok && res.status == 200) << res.error;
@@ -342,7 +380,6 @@ TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
                   std::string::npos)
             << res.body;
     EXPECT_NE(res.body.find("event: end"), std::string::npos);
-    telemetry.stop();
 }
 
 TEST(Telemetry, ConcurrentScrapersDuringARealRun)
@@ -358,10 +395,10 @@ TEST(Telemetry, ConcurrentScrapersDuringARealRun)
     const bool was = stats::enabled();
     stats::setEnabled(true);  // histograms live while scrapers render
 
-    net::TelemetryServer telemetry("127.0.0.1:0", lib, 20);
-    telemetry.start();
-    engine.addGenerationObserver(telemetry.observer());
-    const std::string base = telemetry.address();
+    const config::RunConfig cfg = listenOnly(lib, params);
+    config::RunPipeline pipeline(cfg, meas);
+    engine.setGenerationCallback(pipeline.callback());
+    const std::string base = pipeline.listenAddress();
 
     std::atomic<bool> stop{false};
     std::atomic<int> scrapes{0};
@@ -390,17 +427,19 @@ TEST(Telemetry, ConcurrentScrapersDuringARealRun)
     });
 
     engine.run();
-    telemetry.service().noteRunCompleted();
+    pipeline.finish();
     stop.store(true, std::memory_order_release);
     for (std::thread& scraper : scrapers)
         scraper.join();
     sse.join();
-    telemetry.stop();
     stats::setEnabled(was);
 
     EXPECT_GT(scrapes.load(), 0);
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(telemetry.service().generationsSeen(), 20u);
+    const net::HttpResult history = net::httpGet(base + "/history");
+    json::Value rows;
+    ASSERT_TRUE(json::parse(history.body, rows, nullptr));
+    EXPECT_EQ(rows.array.size(), 20u);
 }
 
 // ------------------------------------------------ artifact byte-identity
@@ -493,13 +532,14 @@ TEST(Top, FetchesASnapshotFromALiveServer)
     fitness::DefaultFitness fit;
     Engine engine(smallParams(9, 4), lib, meas, fit);
 
-    net::TelemetryServer telemetry("127.0.0.1:0", lib, 4);
-    telemetry.start();
-    engine.addGenerationObserver(telemetry.observer());
+    const config::RunConfig cfg = listenOnly(lib, smallParams(9, 4));
+    config::RunPipeline pipeline(cfg, meas);
+    engine.setGenerationCallback(pipeline.callback());
     engine.run();
 
     output::TopSnapshot snapshot;
-    ASSERT_TRUE(output::fetchTopSnapshot(telemetry.address(), snapshot))
+    ASSERT_TRUE(output::fetchTopSnapshot(pipeline.listenAddress(),
+                                         snapshot))
         << snapshot.error;
     EXPECT_TRUE(snapshot.live);
     EXPECT_EQ(snapshot.generation, 3);
@@ -508,7 +548,6 @@ TEST(Top, FetchesASnapshotFromALiveServer)
     const std::string frame = output::renderTop(snapshot);
     EXPECT_NE(frame.find("gen 3/4"), std::string::npos) << frame;
     EXPECT_NE(frame.find("fitness "), std::string::npos) << frame;
-    telemetry.stop();
 
     output::TopSnapshot bad;
     EXPECT_FALSE(output::fetchTopSnapshot("127.0.0.1:1", bad));

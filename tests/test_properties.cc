@@ -202,7 +202,8 @@ TEST_P(EngineValidityTest, EveryGenerationHoldsOnlyValidGenomes)
     core::Engine engine(params, lib, meas, fit);
     int generations_seen = 0;
     engine.setGenerationCallback(
-        [&](const core::Population& pop, const core::GenerationRecord&) {
+        [&](const core::GenerationView& view) {
+            const core::Population& pop = view.population;
             ++generations_seen;
             EXPECT_EQ(pop.individuals.size(), 12u);
             for (const core::Individual& ind : pop.individuals) {

@@ -188,19 +188,20 @@ TEST(PopulationDigest, LedgerRoundTripsThroughLoadDigests)
     const std::string dir = makeTempDir("gest-digest");
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
 
-    provenance::DigestLedger ledger(dir, lib);
+    provenance::DigestLedger ledger(lib);
+    std::string csv = provenance::digestsCsvHeader();
     std::vector<std::string> written;
     for (int gen = 0; gen < 3; ++gen) {
         core::Population pop =
             testPopulation(lib, 6, 5, gen * 10 + 1);
         pop.generation = gen;
-        core::GenerationRecord record;
-        record.generation = gen;
-        record.bestFitness = 1.5 + gen;
-        ledger.append(pop, record);
-        written.push_back(provenance::populationDigest(lib, pop));
+        const std::string digest = ledger.seal(pop);
+        EXPECT_EQ(digest, provenance::populationDigest(lib, pop));
+        csv += provenance::formatDigestRow(gen, 1.5 + gen, digest);
+        written.push_back(digest);
     }
     EXPECT_EQ(ledger.rowsSealed(), 3u);
+    writeFile(dir + "/digests.csv", csv);
 
     std::vector<provenance::DigestRow> rows;
     std::string error;

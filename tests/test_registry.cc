@@ -87,18 +87,18 @@ TEST(HealthWatchdog, CleanImprovingRunRaisesNothing)
 {
     const std::string dir = makeTempDir("gest-health");
     analysis::HealthWatchdog dog;
-    dog.setCsvPath(dir + "/alerts.csv");
 
-    core::Population pop;
     for (int gen = 0; gen < 40; ++gen)
-        dog.onGenerationEvaluated(pop, record(gen, 1.0 + 0.1 * gen));
+        EXPECT_TRUE(
+            dog.onGenerationEvaluated(record(gen, 1.0 + 0.1 * gen)).empty());
 
     EXPECT_TRUE(dog.alerts().empty());
     EXPECT_EQ(dog.summary().alerts, 0u);
     EXPECT_EQ(dog.summary().lastGeneration, -1);
 
-    // The eager header leaves a schema-valid zero-row ledger: "no
-    // alerts", not "not watched".
+    // The header alone is a schema-valid zero-row ledger: "no alerts",
+    // not "not watched".
+    writeFile(dir + "/alerts.csv", analysis::alertsCsvHeader());
     std::vector<analysis::Alert> loaded;
     ASSERT_TRUE(analysis::loadAlerts(dir, loaded));
     EXPECT_TRUE(loaded.empty());
@@ -111,10 +111,9 @@ TEST(HealthWatchdog, PlateauFiresOnceAndLatches)
     rules.plateauGenerations = 5;
     analysis::HealthWatchdog dog(rules);
 
-    core::Population pop;
-    dog.onGenerationEvaluated(pop, record(0, 2.0));
+    dog.onGenerationEvaluated(record(0, 2.0));
     for (int gen = 1; gen <= 12; ++gen)
-        dog.onGenerationEvaluated(pop, record(gen, 2.0));  // flat
+        dog.onGenerationEvaluated(record(gen, 2.0));  // flat
 
     // Latched: one alert for the whole stuck run, at the generation
     // where the streak first reached the threshold.
@@ -133,15 +132,14 @@ TEST(HealthWatchdog, EqualFitnessIsNotAnImprovement)
     rules.plateauGenerations = 3;
     analysis::HealthWatchdog dog(rules);
 
-    core::Population pop;
     // A strict improvement resets the streak; ties do not.
-    dog.onGenerationEvaluated(pop, record(0, 1.0));
-    dog.onGenerationEvaluated(pop, record(1, 1.0));
-    dog.onGenerationEvaluated(pop, record(2, 1.5));
-    dog.onGenerationEvaluated(pop, record(3, 1.5));
-    dog.onGenerationEvaluated(pop, record(4, 1.5));
+    dog.onGenerationEvaluated(record(0, 1.0));
+    dog.onGenerationEvaluated(record(1, 1.0));
+    dog.onGenerationEvaluated(record(2, 1.5));
+    dog.onGenerationEvaluated(record(3, 1.5));
+    dog.onGenerationEvaluated(record(4, 1.5));
     EXPECT_TRUE(dog.alerts().empty());
-    dog.onGenerationEvaluated(pop, record(5, 1.5));
+    dog.onGenerationEvaluated(record(5, 1.5));
     ASSERT_EQ(dog.alerts().size(), 1u);
     EXPECT_EQ(dog.alerts().front().rule, "fitness_plateau");
 }
@@ -149,10 +147,9 @@ TEST(HealthWatchdog, EqualFitnessIsNotAnImprovement)
 TEST(HealthWatchdog, NonFiniteFitnessIsCritical)
 {
     analysis::HealthWatchdog dog;
-    core::Population pop;
-    dog.onGenerationEvaluated(pop, record(0, 1.0));
+    dog.onGenerationEvaluated(record(0, 1.0));
     dog.onGenerationEvaluated(
-        pop, record(1, std::numeric_limits<double>::quiet_NaN(), 0.5));
+        record(1, std::numeric_limits<double>::quiet_NaN(), 0.5));
 
     ASSERT_EQ(dog.alerts().size(), 1u);
     EXPECT_EQ(dog.alerts().front().rule, "non_finite_fitness");
@@ -168,19 +165,18 @@ TEST(HealthWatchdog, ThroughputCollapseAgainstRunMedian)
     rules.throughputMinGenerations = 4;
     analysis::HealthWatchdog dog(rules);
 
-    core::Population pop;
     for (int gen = 0; gen < 6; ++gen) {
         core::GenerationRecord rec = record(gen, 1.0 + gen);
         rec.cacheMisses = 100;
         rec.evaluationMs = 100.0;  // 1000 evals/sec
-        dog.onGenerationEvaluated(pop, rec);
+        dog.onGenerationEvaluated(rec);
     }
     EXPECT_TRUE(dog.alerts().empty());
 
     core::GenerationRecord slow = record(6, 10.0);
     slow.cacheMisses = 100;
     slow.evaluationMs = 10000.0;  // 10 evals/sec < 1000/4
-    dog.onGenerationEvaluated(pop, slow);
+    dog.onGenerationEvaluated(slow);
 
     ASSERT_EQ(dog.alerts().size(), 1u);
     const analysis::Alert& alert = dog.alerts().front();
@@ -196,17 +192,18 @@ TEST(HealthWatchdog, CoverageStallNeedsTicks)
     rules.coverageStallGenerations = 3;
     analysis::HealthWatchdog dog(rules);
 
-    core::Population pop;
-    // Without ticks the rule stays disarmed no matter how many
-    // generations pass.
+    // Without matching ticks the rule stays disarmed no matter how
+    // many generations pass.
     for (int gen = 0; gen < 10; ++gen)
-        dog.onGenerationEvaluated(pop, record(gen, 1.0 + gen));
+        dog.onGenerationEvaluated(record(gen, 1.0 + gen));
     EXPECT_TRUE(dog.alerts().empty());
 
-    // Fed ticks: three consecutive zero-new-cell generations trip it.
+    // Matching ticks: three consecutive zero-new-cell generations trip
+    // it.
     for (int gen = 10; gen < 13; ++gen) {
-        dog.noteCoverage(gen, 0);
-        dog.onGenerationEvaluated(pop, record(gen, 100.0 + gen));
+        attribution::CoverageLedger::Snapshot tick;
+        tick.generation = gen;
+        dog.onGenerationEvaluated(record(gen, 100.0 + gen), tick);
     }
     ASSERT_EQ(dog.alerts().size(), 1u);
     EXPECT_EQ(dog.alerts().front().rule, "coverage_stall");
@@ -219,18 +216,20 @@ TEST(HealthWatchdog, AlertsLedgerRoundTrips)
     analysis::HealthRules rules;
     rules.plateauGenerations = 2;
     analysis::HealthWatchdog dog(rules);
-    dog.setCsvPath(dir + "/alerts.csv");
 
-    int listener_calls = 0;
-    dog.setAlertListener(
-        [&listener_calls](const analysis::Alert&) { ++listener_calls; });
-
-    core::Population pop;
-    dog.onGenerationEvaluated(pop, record(0, 3.0));
-    for (int gen = 1; gen <= 4; ++gen)
-        dog.onGenerationEvaluated(pop, record(gen, 3.0));
+    // Each generation returns exactly the alerts it raised.
+    std::string csv = analysis::alertsCsvHeader();
+    std::size_t returned = 0;
+    for (int gen = 0; gen <= 4; ++gen) {
+        for (const analysis::Alert& alert :
+             dog.onGenerationEvaluated(record(gen, 3.0))) {
+            csv += analysis::formatAlertCsvRow(alert);
+            ++returned;
+        }
+    }
     ASSERT_EQ(dog.alerts().size(), 1u);
-    EXPECT_EQ(listener_calls, 1);
+    EXPECT_EQ(returned, 1u);
+    writeFile(dir + "/alerts.csv", csv);
 
     std::vector<analysis::Alert> loaded;
     ASSERT_TRUE(analysis::loadAlerts(dir, loaded));

@@ -426,9 +426,9 @@ TEST(Determinism, EngineHistoryIdenticalWithRecorderAttached)
         core::Engine engine(params, lib, meas, fit);
         if (fr) {
             engine.setGenerationCallback(
-                [fr](const core::Population& pop,
-                     const core::GenerationRecord& record) {
-                    fr->onGenerationEvaluated(pop, record);
+                [fr](const core::GenerationView& view) {
+                    fr->onGenerationEvaluated(view.population,
+                                              view.record);
                 });
         }
         engine.run();

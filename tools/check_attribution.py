@@ -23,8 +23,9 @@ Checks the `# gest-attribution v1` CSV format (sealed by a run with
 Usage:
   check_attribution.py <file.csv | run_dir>   validate artifacts
   check_attribution.py --drive <gest-binary>  run a tiny GA with
-                                              coverage + attribution +
-                                              --listen on, scrape
+                                              attribution + --listen
+                                              on (coverage is always
+                                              recorded), scrape
                                               /coverage while live,
                                               validate the sealed
                                               artifacts, `gest verify`
@@ -41,13 +42,13 @@ Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
+
+import checklib
+from checklib import ServerGone, fail, get_json, wait_for_listen
 
 TOLERANCE = 1e-9
 
@@ -60,27 +61,15 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
     <config platform="xgene2"/>
   </measurement>
   <fitness class="DefaultFitness"/>
-  <output directory="out" coverage="true" attribution="true"
-          listen="127.0.0.1:0"/>
+  <output directory="out" attribution="true" listen="127.0.0.1:0"/>
 </gest_configuration>
 """
 
 CLASS_TOKENS = ("short_int", "long_int", "float_simd", "mem", "branch",
                 "nop")
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_attribution")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_attribution: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_attribution: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 # ---------------------------------------------------------------------
@@ -354,18 +343,6 @@ def validate_run_dir(run_dir):
 # ---------------------------------------------------------------------
 # Drive mode.
 
-def get_json(url, what):
-    try:
-        with urllib.request.urlopen(url, timeout=5) as response:
-            body = response.read().decode("utf-8", "replace")
-    except (urllib.error.URLError, OSError, TimeoutError) as err:
-        return None, str(err)
-    try:
-        return json.loads(body), None
-    except json.JSONDecodeError as err:
-        fail(f"{what}: GET {url} returned invalid JSON: {err}")
-
-
 def check_live_coverage(doc):
     for key in ("generation", "cells_seen", "cells_total", "cells_new",
                 "saturation_pct", "novelty_rate", "classes"):
@@ -382,12 +359,11 @@ def check_live_coverage(doc):
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
     # The child runs with cwd inside the scratch dir; keep a relative
     # binary path working.
     gest_binary = os.path.abspath(gest_binary)
     with tempfile.TemporaryDirectory(prefix="gest-attr-") as work:
-        ARTIFACT_SRC = work
+        checklib.keep_scratch(work)
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
@@ -396,32 +372,17 @@ def drive(gest_binary):
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
             out = os.path.join(work, "out")
-            status_path = os.path.join(out, "status.json")
-            listen = None
-            for _ in range(600):
-                if process.poll() is not None:
-                    break
-                try:
-                    with open(status_path, encoding="utf-8") as handle:
-                        listen = json.load(handle).get("listen")
-                except (OSError, json.JSONDecodeError):
-                    listen = None
-                if listen:
-                    break
-                time.sleep(0.05)
-            if not listen:
-                stdout, stderr = process.communicate(timeout=60)
-                fail("no listen address appeared in status.json; "
-                     f"gest exited {process.returncode}:\n"
-                     f"{stdout}{stderr}")
+            listen = wait_for_listen(process,
+                                     os.path.join(out, "status.json"))
 
             # /coverage must render live while the run is in flight.
             live_passes = 0
             last_seen = 0
             while process.poll() is None and live_passes < 10:
-                doc, err = get_json(f"http://{listen}/coverage",
-                                    "/coverage")
-                if doc is None:
+                try:
+                    doc = get_json(f"http://{listen}/coverage",
+                                   "/coverage")
+                except ServerGone as err:
                     # The run can complete between the poll and the
                     # GET; tolerate only if it did.
                     time.sleep(0.5)
@@ -464,11 +425,13 @@ def drive(gest_binary):
         with open(os.path.join(out, "manifest.json"),
                   encoding="utf-8") as handle:
             manifest = json.load(handle)
+        # Coverage is always recorded, so only attribution is a
+        # setting.
         settings = manifest.get("settings", {})
-        if settings.get("record_coverage") is not True or \
+        if "record_coverage" in settings or \
                 settings.get("record_attribution") is not True:
-            fail("manifest settings lack record_coverage/"
-                 "record_attribution")
+            fail("manifest settings must carry record_attribution and "
+                 f"no record_coverage: {settings}")
         kinds = {entry["path"]: entry["kind"]
                  for entry in manifest.get("artifacts", [])}
         if kinds.get("coverage.csv") != "coverage":
@@ -528,7 +491,7 @@ def drive(gest_binary):
                      f"disagrees with the sealed artifact")
         print("check_attribution: OK: gest attribute reproduced the "
               "sealed attribution bit-for-bit")
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):

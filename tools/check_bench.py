@@ -35,12 +35,13 @@ Exit status 0 when the report is valid; 1 with a message otherwise.
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+import checklib
+from checklib import fail
+
 
 REQUIRED_FIELDS = {
     "platform": str,
@@ -61,16 +62,6 @@ REQUIRED_FIELDS = {
 }
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_bench")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_bench: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_bench: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def check_speedup(record, fast_key, full_key, speedup_key):
@@ -194,9 +185,8 @@ def diff_previous(platforms, previous_path):
 
 
 def drive(bench_binary):
-    global ARTIFACT_SRC
     with tempfile.TemporaryDirectory(prefix="gest-bench-") as work:
-        ARTIFACT_SRC = work
+        checklib.keep_scratch(work)
         report = os.path.join(work, "BENCH_engine.json")
         result = subprocess.run(
             [bench_binary, f"--smoke_json={report}"],
@@ -205,7 +195,7 @@ def drive(bench_binary):
             fail(f"bench smoke failed ({result.returncode}):\n"
                  f"{result.stdout}{result.stderr}")
         validate(report)
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):

@@ -15,19 +15,15 @@ Drive mode builds a three-run workspace end to end and checks the
 whole chain:
 
   * two same-seed, same-config runs (sealed) plus one provenance-off
-    run with the health watchdog armed and a hair-trigger plateau rule
-    (unsealed) — `gest runs` must index all three with the right
-    statuses;
+    run with a hair-trigger plateau rule (unsealed) — `gest runs`
+    must index all three with the right statuses;
   * the same-seed cohort must screen clean (`--baseline` exit 0, zero
     regression flags: identical trajectories give permutation p = 1);
   * the induced plateau must raise exactly one alert, visible in all
     four places: alerts.csv, /alerts while live, an `event: alert` SSE
     frame, and the `gest top --fleet` pane;
   * an SSE reconnect with Last-Event-ID must suppress already-seen
-    generation frames but still redeliver the (keyless) alert frame;
-  * a same-seed pair differing only in <output health="..."> must
-    write byte-identical history.csv, lineage.csv and digests.csv —
-    the watchdog is strictly observational.
+    generation frames but still redeliver the (keyless) alert frame.
 
 Usage:
   check_fleet.py <workspace>              schema checks only
@@ -41,17 +37,17 @@ copied there for post-mortem.
 import json
 import os
 import shutil
-import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+import checklib
+from checklib import SseReader, fail, get, run_gest, wait_for_listen
 
+
+# Every run is watched; health_collapse_factor="0" disarms the only
+# rule wall-clock noise could trip on CI, so the cohort stays clean.
 COHORT_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
   <ga population_size="16" individual_size="16" generations="12"
@@ -61,13 +57,14 @@ COHORT_CONFIG = """<?xml version="1.0"?>
     <config platform="cortex-a15"/>
   </measurement>
   <fitness class="DefaultFitness"/>
-  <output directory="out"/>
+  <output directory="out" health_collapse_factor="0"/>
 </gest_configuration>
 """
 
 # health_plateau="3" trips on the first three-generation stall (all but
 # certain within 200 generations); health_collapse_factor="0" disarms
-# the only other rule wall-clock noise could trip on CI.
+# the only other rule wall-clock noise could trip on CI, and
+# health_coverage_stall="0" the coverage rule this long run also trips.
 PLATEAU_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
   <ga population_size="24" individual_size="24" generations="200"
@@ -78,23 +75,8 @@ PLATEAU_CONFIG = """<?xml version="1.0"?>
   </measurement>
   <fitness class="DefaultFitness"/>
   <output directory="out" listen="127.0.0.1:0" provenance="false"
-          health="true" health_plateau="3"
-          health_collapse_factor="0"/>
-</gest_configuration>
-"""
-
-# Identical GA + seed, stats off (timing columns would differ between
-# any two runs); only the health attribute differs between the pair.
-IDENTITY_CONFIG = """<?xml version="1.0"?>
-<gest_configuration>
-  <ga population_size="12" individual_size="12" generations="8"
-      seed="5" threads="1" fitness_cache_size="32"/>
-  <library name="arm"/>
-  <measurement class="SimPowerMeasurement">
-    <config platform="cortex-a15"/>
-  </measurement>
-  <fitness class="DefaultFitness"/>
-  <output directory="out" stats="false" health="{health}"/>
+          health_plateau="3" health_collapse_factor="0"
+          health_coverage_stall="0"/>
 </gest_configuration>
 """
 
@@ -106,16 +88,6 @@ REGISTRY_COLUMNS = (
 ALERTS_COLUMNS = "generation,rule,severity,value,threshold,message"
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_fleet")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_fleet: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_fleet: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 # ------------------------------------------------------ schema checks
@@ -212,70 +184,6 @@ def validate_workspace(workspace):
 
 # ------------------------------------------------------ drive helpers
 
-def get(url, timeout=5):
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, TimeoutError) as err:
-        return None, str(err)
-
-
-class SseReader(threading.Thread):
-    """Drains /events over a raw socket until the server closes it."""
-
-    def __init__(self, host, port, last_event_id=None):
-        super().__init__(daemon=True)
-        self.host, self.port = host, port
-        self.last_event_id = last_event_id
-        self.raw = b""
-        self.error = None
-
-    def run(self):
-        try:
-            request = (f"GET /events HTTP/1.1\r\nHost: {self.host}\r\n"
-                       "Connection: close\r\n")
-            if self.last_event_id is not None:
-                request += f"Last-Event-ID: {self.last_event_id}\r\n"
-            request += "\r\n"
-            with socket.create_connection(
-                    (self.host, self.port), timeout=120) as conn:
-                conn.sendall(request.encode())
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    self.raw += chunk
-        except OSError as err:
-            self.error = str(err)
-
-    def blocks(self):
-        text = self.raw.decode("utf-8", errors="replace")
-        head, sep, body = text.partition("\r\n\r\n")
-        if not sep:
-            fail(f"SSE response has no header/body separator: "
-                 f"{text[:200]!r}")
-        out = []
-        for block in body.split("\n\n"):
-            block = block.strip("\n")
-            if not block or block.startswith("retry:"):
-                continue
-            fields = {}
-            for line in block.split("\n"):
-                key, _, value = line.partition(":")
-                fields[key] = value.strip()
-            out.append(fields)
-        return out
-
-
-def run_gest(gest, args, cwd, what):
-    done = subprocess.run([gest] + args, cwd=cwd, capture_output=True,
-                          text=True)
-    if done.returncode != 0:
-        fail(f"{what}: gest {' '.join(args)} exited "
-             f"{done.returncode}:\n{done.stdout}{done.stderr}")
-    return done.stdout
-
-
 def drive_cohort_run(gest, scratch, name):
     work = os.path.join(scratch, name + "_work")
     os.makedirs(work)
@@ -301,23 +209,8 @@ def drive_plateau_run(gest, scratch):
         [gest, "run", "config.xml", "--quiet"], cwd=work,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
-        status_path = os.path.join(work, "out", "status.json")
-        listen = None
-        for _ in range(600):
-            if process.poll() is not None:
-                break
-            try:
-                with open(status_path, encoding="utf-8") as handle:
-                    listen = json.load(handle).get("listen")
-            except (OSError, json.JSONDecodeError):
-                listen = None
-            if listen:
-                break
-            time.sleep(0.05)
-        if not listen:
-            out, err = process.communicate(timeout=60)
-            fail("no listen address appeared in status.json; gest "
-                 f"exited {process.returncode}:\n{out}{err}")
+        listen = wait_for_listen(
+            process, os.path.join(work, "out", "status.json"))
         host, port = listen.rsplit(":", 1)
 
         sse = SseReader(host, int(port))
@@ -365,45 +258,10 @@ def drive_plateau_run(gest, scratch):
             process.communicate()
 
 
-def check_observer_byte_identity(gest, scratch):
-    """health on vs off: history/lineage/digests must be byte-equal."""
-    outs = {}
-    for health in ("false", "true"):
-        work = os.path.join(scratch, f"identity_{health}")
-        os.makedirs(work)
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(IDENTITY_CONFIG.format(health=health))
-        run_gest(gest, ["run", "config.xml", "--quiet"], work,
-                 f"identity run health={health}")
-        outs[health] = os.path.join(work, "out")
-    for artifact in ("history.csv", "lineage.csv", "digests.csv"):
-        paths = [os.path.join(outs[h], artifact)
-                 for h in ("false", "true")]
-        blobs = []
-        for path in paths:
-            try:
-                with open(path, "rb") as handle:
-                    blobs.append(handle.read())
-            except OSError as err:
-                fail(f"identity pair: cannot read {path}: {err}")
-        if blobs[0] != blobs[1]:
-            fail(f"{artifact} differs between health=false and "
-                 "health=true — the watchdog must be strictly "
-                 "observational")
-    if not os.path.exists(os.path.join(outs["true"], "alerts.csv")):
-        fail("health=true identity run left no alerts.csv (the eager "
-             "header must prove the run was watched)")
-    if os.path.exists(os.path.join(outs["false"], "alerts.csv")):
-        fail("health=false identity run wrote an alerts.csv")
-    print("check_fleet: OK: watchdog on/off artifacts byte-identical")
-
-
 def drive(gest):
-    global ARTIFACT_SRC
     gest = os.path.abspath(gest)
     with tempfile.TemporaryDirectory(prefix="gest-fleet-") as scratch:
-        ARTIFACT_SRC = scratch
+        checklib.keep_scratch(scratch)
         workspace = os.path.join(scratch, "workspace")
         os.makedirs(workspace)
 
@@ -456,7 +314,8 @@ def drive(gest):
 
         # `gest runs` must index all three with the right statuses.
         runs_json = run_gest(gest, ["runs", workspace, "--json",
-                                    "--quiet"], scratch, "gest runs")
+                                    "--quiet"], scratch,
+                             "gest runs").stdout
         indexed = {row["run"]: row
                    for row in validate_registry_json(
                        runs_json, "gest runs --json")}
@@ -478,7 +337,7 @@ def drive(gest):
         # Same-seed cohort screening: p = 1, no flags, exit 0.
         screening = json.loads(run_gest(
             gest, ["runs", workspace, "--baseline", "run_a", "--json",
-                   "--quiet"], scratch, "gest runs --baseline"))
+                   "--quiet"], scratch, "gest runs --baseline").stdout)
         if len(screening) != 1 or screening[0]["candidate"] != "run_b":
             fail(f"cohort should be exactly run_b: {screening!r}")
         if screening[0]["fitness_regression"] or \
@@ -497,17 +356,17 @@ def drive(gest):
 
         # The fleet pane shows the run and its alert.
         pane = run_gest(gest, ["top", workspace, "--fleet", "--once",
-                               "--quiet"], scratch, "gest top --fleet")
+                               "--quiet"], scratch,
+                        "gest top --fleet").stdout
         if "run_c" not in pane:
             fail(f"fleet pane does not list run_c:\n{pane}")
         if "1 alert(s)" not in pane:
             fail(f"fleet pane does not count the alert:\n{pane}")
 
-        check_observer_byte_identity(gest, scratch)
         print("check_fleet: OK: 3-run workspace indexed, cohort "
               "screened clean, plateau alert visible in alerts.csv, "
               "/alerts, SSE and the fleet pane")
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):

@@ -14,7 +14,14 @@ endpoints"):
     separated, each data payload valid JSON with a generation number;
   * counters scraped from /metrics reappear in the run's final
     stats.txt with values >= the last scraped value (counters are
-    monotonic and the artifacts outlive the server).
+    monotonic and the artifacts outlive the server);
+  * every sink agrees at run end: the completed /status body equals
+    the final status.json bytes, the last /history row matches the
+    last history.csv row and /coverage matches the last coverage.csv
+    row;
+  * a listen-only run (no run directory) serves the same heartbeat:
+    /status carries the build identity, its listen address, a computed
+    gene_entropy_bits and the alerts block.
 
 Usage:
   check_metrics.py <url>                  one validation pass against a
@@ -22,7 +29,9 @@ Usage:
   check_metrics.py --drive <gest-binary>  run a GA with --listen
                                           127.0.0.1:0 in a temp dir,
                                           scrape it while it runs, then
-                                          cross-check stats.txt
+                                          cross-check stats.txt and the
+                                          run directory; then a
+                                          listen-only run
 
 Exit status 0 when everything validates; 1 with a message otherwise.
 On failure with GEST_CHECK_ARTIFACT_DIR set, the scratch directory is
@@ -32,17 +41,16 @@ copied there for post-mortem.
 import json
 import os
 import re
-import shutil
 import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+import checklib
+from checklib import (ServerGone, SseReader, fail, get, get_json,
+                      wait_for_listen)
+
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -54,6 +62,21 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
   </measurement>
   <fitness class="DefaultFitness"/>
   <output directory="out" listen="127.0.0.1:0"/>
+</gest_configuration>
+"""
+
+# No run directory: the server is the only sink. Nothing on disk
+# announces an ephemeral port, so the driver picks a free one.
+LISTEN_ONLY_CONFIG = """<?xml version="1.0"?>
+<gest_configuration>
+  <ga population_size="24" individual_size="24" generations="60"
+      seed="13" threads="1"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a15"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+  <output directory="" listen="127.0.0.1:{port}" health="true"/>
 </gest_configuration>
 """
 
@@ -73,46 +96,6 @@ SAMPLE_RE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$")
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_metrics")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_metrics: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_metrics: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
-class ServerGone(Exception):
-    """A GET failed at the transport level (refused/reset/timeout).
-
-    During --drive this is usually the normal end-of-run race: the
-    run completed between the process-aliveness check and the GET, so
-    the server is already down. The drive loop decides whether that
-    is benign; everywhere else it is converted to fail().
-    """
-
-
-def get(url, timeout=5):
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, TimeoutError) as err:
-        return None, str(err)
-
-
-def get_json(url, what):
-    status, body = get(url)
-    if status is None:
-        raise ServerGone(f"{what}: GET {url} failed: {body}")
-    if status != 200:
-        fail(f"{what}: GET {url} failed: {body}")
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as err:
-        fail(f"{what} is not valid JSON: {err}\n{body[:400]}")
 
 
 def check_status(doc, require_listen):
@@ -253,40 +236,6 @@ def check_sse(raw):
     return len(generations)
 
 
-class SseReader(threading.Thread):
-    """Drains /events over a raw socket until the server closes it."""
-
-    def __init__(self, host, port):
-        super().__init__(daemon=True)
-        self.host, self.port = host, port
-        self.raw = b""
-        self.error = None
-
-    def run(self):
-        try:
-            with socket.create_connection(
-                    (self.host, self.port), timeout=60) as conn:
-                conn.sendall(
-                    f"GET /events HTTP/1.1\r\nHost: {self.host}\r\n"
-                    "Connection: close\r\n\r\n".encode())
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    self.raw += chunk
-        except OSError as err:
-            self.error = str(err)
-
-    def body(self):
-        text = self.raw.decode("utf-8", errors="replace")
-        head, sep, body = text.partition("\r\n\r\n")
-        if not sep:
-            fail(f"SSE response has no header/body separator: {text[:200]!r}")
-        if "text/event-stream" not in head:
-            fail(f"SSE response is not text/event-stream: {head!r}")
-        return body
-
-
 def validate_endpoints(base, require_listen):
     """One scrape pass; returns (generations_seen, counters)."""
     status_doc = get_json(base + "/status", "/status")
@@ -343,88 +292,205 @@ def cross_check(scraped, stats_path):
           f"cross-checked against stats.txt")
 
 
+def last_csv_row(path):
+    """The last data row of a `#`-commented CSV, as {column: text}."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line for line in handle.read().splitlines()
+                     if line and not line.startswith("#")]
+    except OSError as err:
+        fail(f"cannot read {path}: {err}")
+    if len(lines) < 2:
+        fail(f"{path} has no data rows")
+    return dict(zip(lines[0].split(","), lines[-1].split(",")))
+
+
+def close(a, b, absolute):
+    """Equal up to @p absolute plus history.csv's 6 significant digits."""
+    return abs(float(a) - float(b)) <= absolute + 1e-5 * abs(float(b))
+
+
+def check_sinks_agree(final, run_dir):
+    """The completed /status, /history and /coverage scrapes must agree
+    with the run directory's final status.json, history.csv and
+    coverage.csv."""
+    status_body, history, coverage = final
+    with open(os.path.join(run_dir, "status.json"),
+              encoding="utf-8") as handle:
+        status_file = handle.read()
+    if status_body != status_file:
+        fail("final /status body differs from status.json:\n"
+             f"/status:\n{status_body}\nstatus.json:\n{status_file}")
+
+    row = last_csv_row(os.path.join(run_dir, "history.csv"))
+    last = history[-1] if history else {}
+    for key in ("generation", "best_id", "cache_hits", "cache_misses"):
+        if str(last.get(key)) != row[key]:
+            fail(f"last /history row {key}={last.get(key)!r} but "
+                 f"history.csv says {row[key]!r}")
+    # /history prints diversity with 6 decimals, evaluation_ms with 3.
+    for key, absolute in (("best_fitness", 0.0), ("average_fitness", 0.0),
+                          ("diversity", 5e-7), ("evaluation_ms", 5e-4)):
+        if not close(last[key], row[key], absolute):
+            fail(f"last /history row {key}={last[key]!r} but "
+                 f"history.csv says {row[key]!r}")
+
+    row = last_csv_row(os.path.join(run_dir, "coverage.csv"))
+    for key in ("generation", "cells_new", "cells_seen", "cells_total"):
+        if str(coverage.get(key)) != row[key]:
+            fail(f"/coverage {key}={coverage.get(key)!r} but the last "
+                 f"coverage.csv row says {row[key]!r}")
+    for key in ("saturation_pct", "novelty_rate"):
+        if f"{coverage[key]:.6f}" != row[key]:
+            fail(f"/coverage {key}={coverage[key]!r} but the last "
+                 f"coverage.csv row says {row[key]!r}")
+    for cls in coverage["classes"]:
+        if str(cls["seen"]) != row["seen_" + cls["class"]]:
+            fail(f"/coverage class {cls['class']} seen {cls['seen']} "
+                 f"but coverage.csv says {row['seen_' + cls['class']]}")
+    print("check_metrics: OK: final /status, /history and /coverage "
+          "agree with status.json, history.csv and coverage.csv")
+
+
+def scrape_final(base):
+    """@return (status, final): final is (status_body, history,
+    coverage) once /status says the run completed, else None."""
+    code, body = get(base + "/status")
+    if code is None:
+        raise ServerGone(f"/status: {body}")
+    status = json.loads(body)
+    if status["state"] != "completed":
+        return status, None
+    return status, (body, get_json(base + "/history", "/history"),
+                    get_json(base + "/coverage", "/coverage"))
+
+
+def drive_run_dir(gest_binary, work):
+    config = os.path.join(work, "config.xml")
+    with open(config, "w", encoding="utf-8") as handle:
+        handle.write(DRIVE_CONFIG)
+    process = subprocess.Popen(
+        [gest_binary, "run", config, "--quiet"], cwd=work,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        listen = wait_for_listen(
+            process, os.path.join(work, "out", "status.json"))
+        base = f"http://{listen}"
+        host, port = listen.rsplit(":", 1)
+        sse = SseReader(host, int(port), timeout=60)
+        sse.start()
+
+        # Validation passes every ~0.2 s through the first three
+        # quarters of the run; throughout, poll /status often enough to
+        # catch the completed heartbeat, which the server keeps serving
+        # only while the run seals its manifest.
+        scraped = {}
+        passes = 0
+        final = None
+        tick = 0
+        while final is None:
+            try:
+                status, final = scrape_final(base)
+                early = (status["generation"] <
+                         0.75 * status["total_generations"])
+                if early and passes < 50 and tick % 20 == 0:
+                    rows, counters = validate_endpoints(
+                        base, require_listen=True)
+                    scraped.update(counters)
+                    passes += 1
+            except ServerGone as err:
+                fail("the server went away before the completed "
+                     f"heartbeat could be scraped: {err}")
+            tick += 1
+            time.sleep(0.01)
+        out, err = process.communicate(timeout=120)
+        if process.returncode != 0:
+            fail(f"gest run failed ({process.returncode}):\n"
+                 f"{out}{err}")
+        if passes == 0:
+            fail("the run finished before a single scrape pass — "
+                 "raise generations in DRIVE_CONFIG")
+
+        sse.join(timeout=30)
+        if sse.error:
+            fail(f"SSE read failed: {sse.error}")
+        events = check_sse(sse.body())
+        if events == 0:
+            fail("SSE stream carried no generation events")
+
+        run_dir = os.path.join(work, "out")
+        cross_check(scraped, os.path.join(run_dir, "stats.txt"))
+        check_sinks_agree(final, run_dir)
+        print(f"check_metrics: OK: {passes} scrape passes, "
+              f"{events} SSE generation events, run exit 0")
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+
+
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def drive_listen_only(gest_binary, work):
+    listen = f"127.0.0.1:{free_port()}"
+    config = os.path.join(work, "listen_only.xml")
+    with open(config, "w", encoding="utf-8") as handle:
+        handle.write(LISTEN_ONLY_CONFIG.format(port=listen.split(":")[1]))
+    process = subprocess.Popen(
+        [gest_binary, "run", config, "--quiet"], cwd=work,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        # Poll until the first generation is published; refusals are
+        # expected only until the server binds.
+        status = None
+        for _ in range(3000):
+            try:
+                status = get_json(f"http://{listen}/status", "/status")
+                if status["generation"] >= 0:
+                    break
+            except ServerGone as err:
+                if process.poll() is not None:
+                    out, err_text = process.communicate()
+                    fail("listen-only run ended before /status served "
+                         f"a generation ({err}):\n{out}{err_text}")
+            time.sleep(0.01)
+        check_status(status, require_listen=True)
+        for key in ("git_sha", "build"):
+            if not status.get(key):
+                fail(f"listen-only /status has an empty {key!r}")
+        if status["listen"] != listen:
+            fail(f"listen-only /status listen {status['listen']!r} is "
+                 f"not the configured {listen!r}")
+        if status.get("gene_entropy_bits", -1) < 0:
+            fail("listen-only /status reports no gene_entropy_bits: "
+                 f"{status.get('gene_entropy_bits')!r}")
+        alerts = status.get("alerts")
+        if not isinstance(alerts, dict) or "raised" not in alerts:
+            fail(f"listen-only /status lacks the alerts block: {status}")
+        out, err = process.communicate(timeout=120)
+        if process.returncode != 0:
+            fail(f"listen-only run failed ({process.returncode}):\n{err}")
+        print("check_metrics: OK: listen-only /status carries the build "
+              "identity, listen address, gene entropy and alerts")
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+
+
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    # The run executes with cwd inside the scratch dir; a relative
+    # The runs execute with cwd inside the scratch dir; a relative
     # binary path (e.g. build/tools/gest) must survive the chdir.
     gest_binary = os.path.abspath(gest_binary)
     with tempfile.TemporaryDirectory(prefix="gest-metrics-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG)
-        process = subprocess.Popen(
-            [gest_binary, "run", config, "--quiet"], cwd=work,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            # The bound (ephemeral) port surfaces in the status.json
-            # heartbeat after the first generation.
-            status_path = os.path.join(work, "out", "status.json")
-            listen = None
-            for _ in range(600):
-                if process.poll() is not None:
-                    break
-                try:
-                    with open(status_path, encoding="utf-8") as handle:
-                        listen = json.load(handle).get("listen")
-                except (OSError, json.JSONDecodeError):
-                    listen = None
-                if listen:
-                    break
-                time.sleep(0.05)
-            if not listen:
-                out, err = process.communicate(timeout=60)
-                fail("no listen address appeared in status.json; "
-                     f"gest exited {process.returncode}:\n{out}{err}")
-
-            base = f"http://{listen}"
-            host, port = listen.rsplit(":", 1)
-            sse = SseReader(host, int(port))
-            sse.start()
-
-            scraped = {}
-            passes = 0
-            while process.poll() is None and passes < 50:
-                try:
-                    rows, counters = validate_endpoints(
-                        base, require_listen=True)
-                except ServerGone as err:
-                    # The run can complete between the aliveness check
-                    # above and the GET; a refused connection is only a
-                    # failure if the run is still going after a grace
-                    # period.
-                    time.sleep(0.5)
-                    if process.poll() is None:
-                        fail("server vanished while the run is still "
-                             f"alive: {err}")
-                    break
-                scraped.update(counters)
-                passes += 1
-                time.sleep(0.2)
-            out, err = process.communicate(timeout=120)
-            if process.returncode != 0:
-                fail(f"gest run failed ({process.returncode}):\n"
-                     f"{out}{err}")
-            if passes == 0:
-                fail("the run finished before a single scrape pass — "
-                     "raise generations in DRIVE_CONFIG")
-
-            sse.join(timeout=30)
-            if sse.error:
-                fail(f"SSE read failed: {sse.error}")
-            events = check_sse(sse.body())
-            if events == 0:
-                fail("SSE stream carried no generation events")
-
-            cross_check(scraped,
-                        os.path.join(work, "out", "stats.txt"))
-            print(f"check_metrics: OK: {passes} scrape passes, "
-                  f"{events} SSE generation events, run exit 0")
-            ARTIFACT_SRC = None
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
+        checklib.keep_scratch(work)
+        drive_run_dir(gest_binary, work)
+        drive_listen_only(gest_binary, work)
+        checklib.keep_scratch(None)
 
 
 def main(argv):

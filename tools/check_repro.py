@@ -34,10 +34,11 @@ Exit status 0 when everything holds; 1 with a message otherwise.
 import hashlib
 import json
 import os
-import shutil
-import subprocess
 import sys
 import tempfile
+
+import checklib
+from checklib import fail, run_gest
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -52,19 +53,8 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 </gest_configuration>
 """
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_repro")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_repro: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_repro: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def sha256_of(path):
@@ -144,33 +134,23 @@ def validate_run(run_dir):
     return len(rows)
 
 
-def run_gest(args, cwd, expect=0, what=""):
-    result = subprocess.run(args, cwd=cwd, capture_output=True,
-                            text=True)
-    if expect is not None and result.returncode != expect:
-        fail(f"{what or ' '.join(args)} exited {result.returncode}, "
-             f"expected {expect}:\n{result.stdout}{result.stderr}")
-    return result
-
-
 def drive(gest_binary):
-    global ARTIFACT_SRC
     gest_binary = os.path.abspath(gest_binary)
     with tempfile.TemporaryDirectory(prefix="gest-repro-") as work:
-        ARTIFACT_SRC = work
+        checklib.keep_scratch(work)
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG.format(out="runA"))
-        run_gest([gest_binary, "run", config, "--quiet"], work,
+        run_gest(gest_binary, ["run", config, "--quiet"], work,
                  what="gest run")
         run_a = os.path.join(work, "runA")
         validate_run(run_a)
 
         # 1. An untampered deterministic run verifies, fully and
         # quickly.
-        run_gest([gest_binary, "verify", run_a, "--quiet"], work,
+        run_gest(gest_binary, ["verify", run_a, "--quiet"], work,
                  what="gest verify (untampered)")
-        run_gest([gest_binary, "verify", run_a, "--quick", "--quiet"],
+        run_gest(gest_binary, ["verify", run_a, "--quick", "--quiet"],
                  work, what="gest verify --quick (untampered)")
 
         # 2. Flip one byte of lineage.csv: verify must fail and name
@@ -181,7 +161,7 @@ def drive(gest_binary):
         tampered[len(tampered) // 2] ^= 0x01
         with open(lineage, "wb") as handle:
             handle.write(bytes(tampered))
-        result = run_gest([gest_binary, "verify", run_a, "--quiet"],
+        result = run_gest(gest_binary, ["verify", run_a, "--quiet"],
                           work, expect=1,
                           what="gest verify (tampered lineage)")
         if "lineage.csv" not in result.stdout:
@@ -199,7 +179,7 @@ def drive(gest_binary):
         with open(manifest_path, "w", encoding="utf-8") as handle:
             handle.write(
                 manifest_text.replace('"seed": "23"', '"seed": "24"'))
-        result = run_gest([gest_binary, "verify", run_a, "--quiet"],
+        result = run_gest(gest_binary, ["verify", run_a, "--quiet"],
                           work, expect=1,
                           what="gest verify (seed drift)")
         if "generation 0" not in result.stdout:
@@ -207,7 +187,7 @@ def drive(gest_binary):
                  f"generation:\n{result.stdout}")
         with open(manifest_path, "w", encoding="utf-8") as handle:
             handle.write(manifest_text)
-        run_gest([gest_binary, "verify", run_a, "--quiet"], work,
+        run_gest(gest_binary, ["verify", run_a, "--quiet"], work,
                  what="gest verify (restored)")
 
         # 4. Same configuration + seed into a second directory: compare
@@ -215,11 +195,11 @@ def drive(gest_binary):
         config_b = os.path.join(work, "config_b.xml")
         with open(config_b, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG.format(out="runB"))
-        run_gest([gest_binary, "run", config_b, "--quiet"], work,
+        run_gest(gest_binary, ["run", config_b, "--quiet"], work,
                  what="gest run (second)")
         run_b = os.path.join(work, "runB")
         result = run_gest(
-            [gest_binary, "compare", run_a, run_b, "--json", "--quiet"],
+            gest_binary, ["compare", run_a, run_b, "--json", "--quiet"],
             work, what="gest compare")
         try:
             report = json.loads(result.stdout)
@@ -235,7 +215,7 @@ def drive(gest_binary):
                  f"{result.stdout}")
         print("check_repro: OK: verify catches tampering and seed "
               "drift; same-seed compare reports zero deltas")
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):

@@ -30,12 +30,13 @@ Exit status 0 when the trace is valid; 1 with a message otherwise.
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+import checklib
+from checklib import fail
+
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -51,16 +52,6 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 """
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_trace")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_trace: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_trace: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def check_common(event, index, phase):
@@ -162,12 +153,11 @@ def validate(path):
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
     # The run executes with cwd inside the scratch dir; a relative
     # binary path (e.g. build/tools/gest) must survive the chdir.
     gest_binary = os.path.abspath(gest_binary)
     with tempfile.TemporaryDirectory(prefix="gest-trace-") as work:
-        ARTIFACT_SRC = work
+        checklib.keep_scratch(work)
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
@@ -194,7 +184,7 @@ def drive(gest_binary):
         print(f"check_trace: OK: metrics.json has "
               f"{len(doc['counters'])} counters, "
               f"{len(doc['histograms'])} histograms")
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):

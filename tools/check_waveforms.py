@@ -38,10 +38,12 @@ Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
+
+import checklib
+from checklib import fail
 
 TOLERANCE = 1e-9
 
@@ -58,19 +60,8 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 </gest_configuration>
 """
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_waveforms")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_waveforms: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_waveforms: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def parse_csv(path):
@@ -335,12 +326,11 @@ def validate_dir(directory):
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
     # The child runs with cwd inside the scratch dir; keep a relative
     # binary path working.
     gest_binary = os.path.abspath(gest_binary)
     with tempfile.TemporaryDirectory(prefix="gest-waveforms-") as work:
-        ARTIFACT_SRC = work
+        checklib.keep_scratch(work)
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
@@ -380,7 +370,7 @@ def drive(gest_binary):
                  f"the champion fitness {champion_fitness!r}")
         print("check_waveforms: OK: probe capture matches the "
               "champion fitness")
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):

@@ -722,9 +722,23 @@ int
 main(int argc, char** argv)
 try {
     configureLoggingFromEnv();
-    if (argc < 2)
+    // --quiet / --verbose are global: they may also come before the
+    // command.
+    auto global_flag = [](const char* arg) {
+        if (std::strcmp(arg, "--quiet") == 0)
+            setLogLevel(LogLevel::Quiet);
+        else if (std::strcmp(arg, "--verbose") == 0)
+            setLogLevel(LogLevel::Debug);
+        else
+            return false;
+        return true;
+    };
+    int first = 1;
+    while (first < argc && global_flag(argv[first]))
+        ++first;
+    if (first >= argc)
         return usage();
-    const std::string command = argv[1];
+    const std::string command = argv[first];
 
     // Separate flags from positional operands; flags may appear
     // anywhere after the command. --trace takes an optional value: the
@@ -745,12 +759,10 @@ try {
     bool want_once = false;
     bool want_quick = false;
     bool want_fleet = false;
-    for (int i = 2; i < argc; ++i) {
+    for (int i = first + 1; i < argc; ++i) {
         const char* arg = argv[i];
-        if (std::strcmp(arg, "--quiet") == 0) {
-            setLogLevel(LogLevel::Quiet);
-        } else if (std::strcmp(arg, "--verbose") == 0) {
-            setLogLevel(LogLevel::Debug);
+        if (global_flag(arg)) {
+            continue;
         } else if (std::strcmp(arg, "--library") == 0) {
             if (i + 1 >= argc)
                 fatal("--library requires a value");

@@ -24,13 +24,14 @@ Exit status 0 on success; 1 with a message otherwise.
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+import checklib
+from checklib import fail
+
 
 LINEAGE_VERSION_PREFIX = "# gest-lineage v"
 ANALYTICS_VERSION_PREFIX = "# gest-analytics v"
@@ -73,16 +74,6 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 """
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_lineage")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"lineage_to_dot: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"lineage_to_dot: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def parse_lineage(path):
@@ -296,10 +287,9 @@ def check_status(path, require_completed=False):
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
     gest_binary = os.path.abspath(gest_binary)
     with tempfile.TemporaryDirectory(prefix="gest-lineage-") as work:
-        ARTIFACT_SRC = work
+        checklib.keep_scratch(work, "check_lineage")
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
@@ -372,7 +362,7 @@ def drive(gest_binary):
                       [e for e in events if e["id"] in ancestry])
         print("lineage_to_dot: OK: dot export is well-formed "
               "(full and --champion-only)")
-        ARTIFACT_SRC = None
+        checklib.keep_scratch(None)
 
 
 def main(argv):
