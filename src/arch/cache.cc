@@ -33,6 +33,7 @@ Cache::Cache(const CacheConfig& cfg) : _cfg(cfg)
               cfg.ways);
     _lines.resize(static_cast<std::size_t>(cfg.sets) * cfg.ways);
     _offsetBits = log2i(cfg.lineBytes);
+    _tagShift = log2i(cfg.sets);
     _indexMask = cfg.sets - 1;
 }
 
@@ -44,7 +45,7 @@ Cache::access(std::uint64_t address)
 
     const std::uint64_t line_addr = address >> _offsetBits;
     const int set = static_cast<int>(line_addr) & _indexMask;
-    const std::uint64_t tag = line_addr >> log2i(_cfg.sets);
+    const std::uint64_t tag = line_addr >> _tagShift;
 
     Line* base = &_lines[static_cast<std::size_t>(set) * _cfg.ways];
     Line* victim = base;
@@ -73,7 +74,7 @@ Cache::probe(std::uint64_t address) const
 {
     const std::uint64_t line_addr = address >> _offsetBits;
     const int set = static_cast<int>(line_addr) & _indexMask;
-    const std::uint64_t tag = line_addr >> log2i(_cfg.sets);
+    const std::uint64_t tag = line_addr >> _tagShift;
     const Line* base = &_lines[static_cast<std::size_t>(set) * _cfg.ways];
     for (int way = 0; way < _cfg.ways; ++way) {
         if (base[way].valid && base[way].tag == tag)

@@ -33,8 +33,8 @@ class Cache
 
     /**
      * Check whether @p address would hit, without touching cache state
-     * or counters (used for MSHR admission before committing an
-     * access).
+     * or counters (used for DRAM admission of a memory op while every
+     * MSHR is busy).
      */
     bool probe(std::uint64_t address) const;
 
@@ -85,6 +85,7 @@ class Cache
     std::uint64_t _misses = 0;
     std::uint64_t _useCounter = 0;
     int _offsetBits = 0;
+    int _tagShift = 0;             ///< log2(sets): line address to tag
     int _indexMask = 0;
 };
 

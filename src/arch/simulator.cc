@@ -171,6 +171,7 @@ class RunState
         bool measuring = warmup_ops == 0;
         int cond_branch_count = 0;
 
+        bool idle_before = false;
         std::vector<WindowSlot>& window = _scratch.window;
         window.clear();
         window.reserve(static_cast<std::size_t>(_cfg.windowSize));
@@ -341,7 +342,7 @@ class RunState
             std::size_t kept = 0;
             bool stop_scan = false;
             for (std::size_t i = 0; i < window.size(); ++i) {
-                const WindowSlot& slot = window[i];
+                WindowSlot& slot = window[i];
                 bool issued = false;
                 if (!stop_scan &&
                     issued_this_cycle < _cfg.issueWidth) {
@@ -374,6 +375,39 @@ class RunState
             }
 
             ++cycle;
+
+            // ---- Idle fast-forward ----
+            // A cycle that neither fetched nor issued changed nothing
+            // but the clock, and so does every later cycle until the
+            // earliest pending timestamp: jump there and emit the
+            // skipped rows in bulk. The measuring edge and the steady
+            // sampler only move with issue and fetch, so neither can
+            // fire inside the stretch; stopping at cycle_limit + 1
+            // keeps the forward-progress panic where it was. Most idle
+            // cycles stand alone, so the scan for that timestamp waits
+            // for the second idle cycle in a row.
+            const bool idle = stats.fetched == 0 && issued_this_cycle == 0;
+            if (idle && idle_before) {
+                const std::uint64_t wake = std::min(
+                    nextEventAfter(cycle - 1, fetch_resume_at),
+                    cycle_limit + 1);
+                if (wake > cycle) {
+                    const std::uint64_t skipped = wake - cycle;
+                    if (measuring) {
+                        window_occ_sum += skipped * window.size();
+                        const std::size_t room =
+                            maxTraceCycles -
+                            std::min(result.trace.size(), maxTraceCycles);
+                        result.trace.insert(
+                            result.trace.end(),
+                            static_cast<std::size_t>(
+                                std::min<std::uint64_t>(skipped, room)),
+                            stats);
+                    }
+                    cycle = wake;
+                }
+            }
+            idle_before = idle;
         }
 
         const std::uint64_t simulated_cycles =
@@ -427,12 +461,17 @@ class RunState
   private:
     static constexpr std::uint64_t bufferBase = 0x10000;
 
+    /** nextEventAfter() when nothing is pending. */
+    static constexpr std::uint64_t noEvent = ~std::uint64_t{0};
+
     const CpuConfig& _cfg;
     const InitState& _init;
     SimScratch& _scratch;
     Cache* _cache = nullptr;
     Cache* _l2 = nullptr;
     bool _trackMemDigest;
+    /** Upper 32 bits of the fill epoch the slot memos were taken in. */
+    std::uint64_t _memoEpochHigh = 0;
     std::uint64_t _memDigestLo = 0;
     std::uint64_t _memDigestHi = 0;
 
@@ -818,12 +857,65 @@ class RunState
     }
 
     /**
+     * Earliest timestamp after @p cycle at which fetch resumes or a
+     * register, functional unit or MSHR becomes free. Until then, a
+     * cycle that fetched and issued nothing repeats exactly, since
+     * nothing else can change whether fetch or issue succeeds.
+     * noEvent when nothing is pending.
+     */
+    std::uint64_t
+    nextEventAfter(std::uint64_t cycle, std::uint64_t fetch_resume_at) const
+    {
+        std::uint64_t next = noEvent;
+        auto consider = [&](std::uint64_t at) {
+            next = std::min(next, at > cycle ? at : noEvent);
+        };
+        consider(fetch_resume_at);
+        for (std::uint64_t at : _regReadyAt)
+            consider(at);
+        for (const auto& units : _scratch.fuFreeAt)
+            for (std::uint64_t at : units)
+                consider(at);
+        for (std::uint64_t at : _scratch.mshrFreeAt)
+            consider(at);
+        return next;
+    }
+
+    /**
+     * Whether the memory op in @p slot misses both L1 and L2, asked
+     * while every MSHR is busy. A miss is memoized in the slot under
+     * the fill epoch, L1 + L2 misses: lines are only filled or evicted
+     * on a miss, so the answer holds while the epoch stands. A hit is
+     * never memoized, because the op then issues at once. The memo
+     * keeps 32 bits of the epoch; all memos are dropped whenever the
+     * upper bits move, so a wrapped tag can never match.
+     */
+    bool
+    needsDram(WindowSlot& slot)
+    {
+        const std::uint64_t epoch = _cache->misses() + _l2->misses();
+        if ((epoch >> 32) != _memoEpochHigh) {
+            _memoEpochHigh = epoch >> 32;
+            for (WindowSlot& other : _scratch.window)
+                other.dramEpoch = 0;
+        }
+        // Tag 0 means "no memo"; the one epoch that maps to it is
+        // simply probed every time.
+        const auto tag = static_cast<std::uint32_t>(epoch + 1);
+        if (tag != 0 && slot.dramEpoch == tag)
+            return true;
+        if (_cache->probe(slot.address) || _l2->probe(slot.address))
+            return false;
+        slot.dramEpoch = tag;
+        return true;
+    }
+
+    /**
      * Try to issue one fetched micro-op at @p cycle; on success charge
      * its FU, the cache hierarchy and the register readiness.
      */
     bool
-    tryIssue(const WindowSlot& slot, std::uint64_t cycle,
-             CycleStats& stats)
+    tryIssue(WindowSlot& slot, std::uint64_t cycle, CycleStats& stats)
     {
         const MicroOp& mo = *slot.mo;
 
@@ -856,16 +948,19 @@ class RunState
 
             // A request that will go to DRAM needs a free MSHR; without
             // one the op cannot issue this cycle (bounded memory-level
-            // parallelism).
+            // parallelism). With an MSHR free the access itself decides:
+            // a probe misses both levels exactly when the access does,
+            // and only an L2 miss charges the MSHR. With every MSHR busy,
+            // the probe answer is memoized per slot until the next fill.
             std::uint64_t* mshr = nullptr;
-            if (_l2 && !_cache->probe(address) && !_l2->probe(address)) {
+            if (_l2) {
                 for (std::uint64_t& free_at : _scratch.mshrFreeAt) {
                     if (free_at <= cycle) {
                         mshr = &free_at;
                         break;
                     }
                 }
-                if (!mshr)
+                if (!mshr && needsDram(slot))
                     return false;
             }
 

@@ -16,6 +16,9 @@
  *    unpipelined units (dividers) stay busy for the full latency.
  *  - Memory: addresses are computed from register values; an L1 cache
  *    model decides hit/miss latency.
+ *  - Idle cycles: a cycle that neither fetched nor issued is repeated
+ *    verbatim until the earliest pending timestamp, so such stretches
+ *    are emitted in bulk rather than stepped.
  *  - Functional execution: register and memory values are computed so the
  *    power model can see data-dependent bit switching (the reason the
  *    paper initializes registers with checkerboard patterns).
@@ -82,6 +85,14 @@ struct WindowSlot
     const MicroOp* mo;
     std::uint64_t address;
     std::uint32_t toggles;
+
+    /**
+     * DRAM-admission memo of a memory op stalled with every MSHR busy:
+     * nonzero when its line was found to miss both L1 and L2, holding
+     * the low 32 bits of the fill epoch at that probe, plus one. Sized
+     * to fit the padding after toggles, so the slot stays 24 bytes.
+     */
+    std::uint32_t dramEpoch = 0;
 };
 
 /** Per-run options for the simulator. */

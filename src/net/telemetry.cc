@@ -83,7 +83,9 @@ renderPrometheusMetrics()
         const std::string metric = prometheusName(h->name());
         appendHeader(out, metric, h->desc(), "histogram");
         // Cumulative le buckets; the underflow bucket folds into the
-        // first edge, the overflow bucket only into +Inf.
+        // first edge, the overflow bucket only into +Inf. +Inf and
+        // _count come from the same running sum, so a sample landing
+        // mid-render cannot make them disagree.
         std::uint64_t cumulative = h->underflow();
         for (std::size_t i = 0; i < h->numBuckets(); ++i) {
             cumulative += h->bucketCount(i);
@@ -91,10 +93,11 @@ renderPrometheusMetrics()
                    prometheusDouble(h->bucketLo(i + 1)) + "\"} " +
                    std::to_string(cumulative) + "\n";
         }
-        out += metric + "_bucket{le=\"+Inf\"} " +
-               std::to_string(h->count()) + "\n";
+        cumulative += h->overflow();
+        const std::string total = std::to_string(cumulative);
+        out += metric + "_bucket{le=\"+Inf\"} " + total + "\n";
         out += metric + "_sum " + prometheusDouble(h->sum()) + "\n";
-        out += metric + "_count " + std::to_string(h->count()) + "\n";
+        out += metric + "_count " + total + "\n";
         // Quantile gauges from the shared stats::Histogram::quantile
         // implementation (native histograms carry no quantiles).
         const char* qs[] = {"0.5", "0.95", "0.99"};

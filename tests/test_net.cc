@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +149,54 @@ TEST(HistogramQuantile, AppearsInDumps)
     for (const char* key : {"p50", "p95", "p99"})
         EXPECT_NE(entry->find(key), nullptr) << key;
     stats::setEnabled(was);
+}
+
+TEST(HistogramQuantile, PrometheusInfMatchesCountUnderConcurrentSamples)
+{
+    // One thread keeps sampling into the underflow, regular and
+    // overflow buckets while this one renders /metrics; every render
+    // must report +Inf equal to _count on every histogram.
+    stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
+        "test.net.torn", "torn scrape test", 0.0, 10.0, 5);
+    const bool was = stats::enabled();
+    stats::setEnabled(true);
+
+    std::atomic<bool> stop{false};
+    std::thread sampler([&] {
+        for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed);
+             ++i)
+            hist.sample(static_cast<double>(i % 14) - 2.0);
+    });
+    // Render only once the sampler is running.
+    while (hist.count() == 0)
+        std::this_thread::yield();
+
+    int histograms_checked = 0;
+    for (int render = 0; render < 2000; ++render) {
+        const std::string text = net::renderPrometheusMetrics();
+        std::size_t pos = 0;
+        while ((pos = text.find("_bucket{le=\"+Inf\"} ", pos)) !=
+               std::string::npos) {
+            const std::size_t line_start = text.rfind('\n', pos) + 1;
+            const std::string metric =
+                text.substr(line_start, pos - line_start);
+            pos += std::strlen("_bucket{le=\"+Inf\"} ");
+            const std::string inf =
+                text.substr(pos, text.find('\n', pos) - pos);
+            const std::string count_key = "\n" + metric + "_count ";
+            const std::size_t at = text.find(count_key, pos);
+            ASSERT_NE(at, std::string::npos) << metric;
+            const std::size_t value_at = at + count_key.size();
+            const std::string count =
+                text.substr(value_at, text.find('\n', value_at) - value_at);
+            EXPECT_EQ(inf, count) << metric << " in render " << render;
+            ++histograms_checked;
+        }
+    }
+    stop.store(true);
+    sampler.join();
+    stats::setEnabled(was);
+    EXPECT_GE(histograms_checked, 2000);
 }
 
 // ------------------------------------------------------- event buffer
