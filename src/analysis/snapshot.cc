@@ -73,7 +73,7 @@ fillSteadyCounters(StatusSnapshot& snapshot)
 {
     // Look up without find-or-create: a run that never touches the
     // simulated fast path (native measurements, stats off) must not
-    // grow eval.* entries in its stats.txt just by heartbeating.
+    // grow eval.* entries in its metrics.prom just by heartbeating.
     for (const stats::Counter* counter :
          stats::StatsRegistry::instance().counterList()) {
         if (counter->name() == "eval.steady_hits")

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/fileutil.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace attribution {
@@ -20,42 +21,10 @@ g17(double v)
 } // namespace
 
 std::string
-formatAttributionCsv(const AttributionResult& result)
-{
-    std::string out;
-    out += "# gest-attribution v" +
-           std::to_string(attributionCsvVersion) + "\n";
-    out += "# annotation individual_id " +
-           std::to_string(result.individualId) + "\n";
-    if (result.generation >= 0)
-        out += "# annotation generation " +
-               std::to_string(result.generation) + "\n";
-    out += "# annotation baseline_fitness " +
-           g17(result.baselineFitness) + "\n";
-    out += "# annotation sum_delta " + g17(result.sumDelta) + "\n";
-    out += "# annotation whole_ablation_delta " +
-           g17(result.wholeAblationDelta) + "\n";
-    out += "# annotation evaluations " +
-           std::to_string(result.evaluationsUsed) + "\n";
-    out += "# annotation genes " + std::to_string(result.genes.size()) +
-           "\n";
-    out += "# filler " + result.fillerInstruction + " strategy " +
-           (result.fillerIsNop ? "nop" : "same-class") + "\n";
-    out += "gene,instruction,class,operands,delta_fitness,"
-           "fitness_without\n";
-    for (const GeneAttribution& g : result.genes) {
-        out += std::to_string(g.index) + "," + g.instruction + "," +
-               classToken(g.cls) + "," + g.operands + "," +
-               g17(g.deltaFitness) + "," + g17(g.fitnessWithout) + "\n";
-    }
-    return out;
-}
-
-std::string
 formatAttributionJson(const AttributionResult& result)
 {
     std::string out = "{\n";
-    out += "  \"version\": " + std::to_string(attributionCsvVersion) +
+    out += "  \"version\": " + std::to_string(attributionJsonVersion) +
            ",\n";
     out += "  \"individual_id\": " +
            std::to_string(result.individualId) + ",\n";
@@ -64,7 +33,8 @@ formatAttributionJson(const AttributionResult& result)
     out += "  \"baseline_fitness\": " + g17(result.baselineFitness) +
            ",\n";
     out += "  \"filler\": {\"instruction\": \"" +
-           result.fillerInstruction + "\", \"strategy\": \"" +
+           jsonEscape(result.fillerInstruction) +
+           "\", \"strategy\": \"" +
            (result.fillerIsNop ? "nop" : "same-class") + "\"},\n";
     out += "  \"sum_delta\": " + g17(result.sumDelta) + ",\n";
     out += "  \"whole_ablation_delta\": " +
@@ -77,9 +47,9 @@ formatAttributionJson(const AttributionResult& result)
         const GeneAttribution& g = result.genes[i];
         out += i == 0 ? "\n" : ",\n";
         out += "    {\"gene\": " + std::to_string(g.index) +
-               ", \"instruction\": \"" + g.instruction +
+               ", \"instruction\": \"" + jsonEscape(g.instruction) +
                "\", \"class\": \"" + classToken(g.cls) +
-               "\", \"operands\": \"" + g.operands +
+               "\", \"operands\": \"" + jsonEscape(g.operands) +
                "\", \"delta_fitness\": " + g17(g.deltaFitness) +
                ", \"fitness_without\": " + g17(g.fitnessWithout) + "}";
     }
@@ -99,7 +69,7 @@ formatAttributionJson(const AttributionResult& result)
     for (std::size_t i = 0; i < result.operandBins.size(); ++i) {
         const OperandBinAttribution& b = result.operandBins[i];
         out += i == 0 ? "\n" : ",\n";
-        out += "    {\"bin\": \"" + b.key +
+        out += "    {\"bin\": \"" + jsonEscape(b.key) +
                "\", \"genes\": " + std::to_string(b.genes) +
                ", \"delta_sum\": " + g17(b.deltaSum) + "}";
     }
@@ -121,9 +91,7 @@ writeAttributionArtifacts(const std::string& dir,
 {
     ensureDir(dir);
     AttributionArtifacts artifacts;
-    artifacts.csvPath = dir + "/" + basename + ".csv";
     artifacts.jsonPath = dir + "/" + basename + ".json";
-    writeFile(artifacts.csvPath, formatAttributionCsv(result));
     writeFile(artifacts.jsonPath, formatAttributionJson(result));
     return artifacts;
 }

@@ -1,14 +1,13 @@
 /**
  * @file
- * Attribution artifact I/O: the `# gest-attribution v1` CSV and its
- * JSON twin (docs/attribution.md, "Artifact format").
+ * Attribution artifact I/O: `attribution/individual_<id>.json`
+ * (docs/attribution.md, "Artifact format").
  *
- * The CSV leads with `# annotation <key> <value>` comment lines
- * (individual id, baseline fitness, the delta sums, evaluation count)
- * and a `# filler` line naming the substitute instruction, then one
- * row per gene. The JSON twin additionally carries the per-class and
- * per-operand-bin aggregates and the top-K index list. Both render
- * doubles at %.17g so a reader can round-trip them exactly;
+ * One JSON object per attributed individual: its id, generation and
+ * baseline fitness, the filler instruction and strategy, the delta
+ * sums and evaluation count, one entry per gene, the per-class and
+ * per-operand-bin aggregates and the top-K gene list. Doubles render
+ * at %.17g so a reader can round-trip them exactly;
  * tools/check_attribution.py validates the schema end to end.
  */
 
@@ -22,25 +21,21 @@
 namespace gest {
 namespace attribution {
 
-/** Attribution CSV format version written by this build. */
-constexpr int attributionCsvVersion = 1;
+/** Attribution JSON format version written by this build. */
+constexpr int attributionJsonVersion = 1;
 
 /** Paths written by writeAttributionArtifacts(). */
 struct AttributionArtifacts
 {
-    std::string csvPath;
     std::string jsonPath;
 };
 
-/** Render @p result as the `# gest-attribution v1` CSV. */
-std::string formatAttributionCsv(const AttributionResult& result);
-
-/** Render @p result as the JSON twin. */
+/** Render @p result as the attribution JSON object. */
 std::string formatAttributionJson(const AttributionResult& result);
 
 /**
- * Write `<dir>/<basename>.csv` and `<dir>/<basename>.json` (the
- * directory is created if absent) and return both paths.
+ * Write `<dir>/<basename>.json` (the directory is created if absent)
+ * and return its path.
  */
 AttributionArtifacts writeAttributionArtifacts(
     const std::string& dir, const std::string& basename,

@@ -78,28 +78,19 @@ CoverageLedger::CoverageLedger(const isa::InstructionLibrary& lib)
         _cellsTotal += dc.count;
         _defs.push_back(dc);
     }
-    _bits = std::vector<std::atomic<std::uint64_t>>(
-        (_cellsTotal + 63) / 64);
-    for (std::atomic<std::uint64_t>& word : _bits)
-        word.store(0, std::memory_order_relaxed);
+    _bits.assign((_cellsTotal + 63) / 64, 0);
 }
 
 bool
 CoverageLedger::touch(std::uint64_t cell, isa::InstrClass cls)
 {
     const std::uint64_t mask = std::uint64_t(1) << (cell & 63);
-    std::atomic<std::uint64_t>& word = _bits[cell >> 6];
-    // Fast path: a plain load avoids contending the cache line once
-    // the cell is known (the common case after the first generations).
-    if (word.load(std::memory_order_relaxed) & mask)
+    std::uint64_t& word = _bits[cell >> 6];
+    if (word & mask)
         return false;
-    const std::uint64_t prior =
-        word.fetch_or(mask, std::memory_order_relaxed);
-    if (prior & mask)
-        return false;
-    _cellsSeen.fetch_add(1, std::memory_order_relaxed);
-    _classSeen[static_cast<int>(cls)].fetch_add(
-        1, std::memory_order_relaxed);
+    word |= mask;
+    ++_cellsSeen;
+    ++_classSeen[static_cast<int>(cls)];
     return true;
 }
 
@@ -145,9 +136,9 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
     for (const core::Individual& ind : pop.individuals)
         fresh += observe(ind.code, &touched);
 
-    _lastGeneration.store(rec.generation, std::memory_order_relaxed);
-    _lastNewCells.store(fresh, std::memory_order_relaxed);
-    _lastTouches.store(touched, std::memory_order_relaxed);
+    _lastGeneration = rec.generation;
+    _lastNewCells = fresh;
+    _lastTouches = touched;
 
     const Snapshot snap = snapshot();
     coverageStats().cellsSeen.set(
@@ -164,11 +155,11 @@ CoverageLedger::Snapshot
 CoverageLedger::snapshot() const
 {
     Snapshot snap;
-    snap.generation = _lastGeneration.load(std::memory_order_relaxed);
-    snap.cellsSeen = _cellsSeen.load(std::memory_order_relaxed);
+    snap.generation = _lastGeneration;
+    snap.cellsSeen = _cellsSeen;
     snap.cellsTotal = _cellsTotal;
-    snap.newCells = _lastNewCells.load(std::memory_order_relaxed);
-    snap.touches = _lastTouches.load(std::memory_order_relaxed);
+    snap.newCells = _lastNewCells;
+    snap.touches = _lastTouches;
     snap.saturationPct =
         _cellsTotal > 0 ? 100.0 * static_cast<double>(snap.cellsSeen) /
                               static_cast<double>(_cellsTotal)
@@ -178,8 +169,7 @@ CoverageLedger::snapshot() const
                                static_cast<double>(snap.touches)
                          : 0.0;
     for (int c = 0; c < isa::numInstrClasses; ++c) {
-        snap.classes[c].seen =
-            _classSeen[c].load(std::memory_order_relaxed);
+        snap.classes[c].seen = _classSeen[c];
         snap.classes[c].total = _classTotal[c];
     }
     return snap;

@@ -5,24 +5,23 @@
  * The GA's search space is the set of (instruction definition ×
  * operand value-bin) cells — one cell per register choice, one per
  * immediate bin (isa::operandBin), one for an operand-less definition.
- * The ledger is an atomic bitmap over that universe: every gene of
- * every evaluated generation touches its cells (one relaxed fetch_or
- * per new cell, a plain load otherwise), so by the end of a run it
+ * The ledger is a bitmap over that universe: every gene of every
+ * evaluated generation touches its cells, so by the end of a run it
  * answers "what did the GA never try?" exactly.
  *
- * The run pipeline drives onGenerationEvaluated on the coordinator
- * thread — const views only, never the RNG. Atomics let other threads
- * take snapshot() concurrently. Each observed generation
- * refreshes the coverage.* gauges and returns the snapshot the
- * pipeline's sinks render as a `# gest-coverage v1` CSV row and the
- * /coverage payload.
+ * The ledger is single-threaded: the run pipeline drives observe(),
+ * onGenerationEvaluated() and snapshot() on the coordinator thread —
+ * const views only, never the RNG. Each observed generation refreshes
+ * the coverage.* gauges and returns the snapshot the pipeline's sinks
+ * render as a `# gest-coverage v1` CSV row and the /coverage payload;
+ * the telemetry server serves a rendered copy of that snapshot, never
+ * the ledger itself.
  */
 
 #ifndef GEST_ATTRIBUTION_COVERAGE_HH
 #define GEST_ATTRIBUTION_COVERAGE_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,11 +63,7 @@ class CoverageLedger
 
     std::uint64_t cellsTotal() const { return _cellsTotal; }
 
-    std::uint64_t
-    cellsSeen() const
-    {
-        return _cellsSeen.load(std::memory_order_relaxed);
-    }
+    std::uint64_t cellsSeen() const { return _cellsSeen; }
 
     /**
      * Touch every cell @p code references. @return cells first seen by
@@ -80,15 +75,15 @@ class CoverageLedger
 
     /**
      * Ingest one evaluated generation: observe every individual and
-     * update the coverage.* stats. Coordinator thread only.
+     * update the coverage.* stats.
      * @return the cumulative state after this generation.
      */
     Snapshot onGenerationEvaluated(const core::Population& pop,
                                    const core::GenerationRecord& record);
 
     /**
-     * Current cumulative state; safe from any thread (per-generation
-     * fields describe the last generation sealed by the coordinator).
+     * Current cumulative state (per-generation fields describe the
+     * last generation ingested by onGenerationEvaluated()).
      */
     Snapshot snapshot() const;
 
@@ -118,16 +113,14 @@ class CoverageLedger
     std::uint64_t _cellsTotal = 0;
     std::array<std::uint64_t, isa::numInstrClasses> _classTotal{};
 
-    std::vector<std::atomic<std::uint64_t>> _bits;
-    std::atomic<std::uint64_t> _cellsSeen{0};
-    std::array<std::atomic<std::uint64_t>, isa::numInstrClasses>
-        _classSeen{};
+    std::vector<std::uint64_t> _bits;
+    std::uint64_t _cellsSeen = 0;
+    std::array<std::uint64_t, isa::numInstrClasses> _classSeen{};
 
-    // Last sealed generation (coordinator-written, reader-raced only
-    // through snapshot()'s atomics-free copies — benign staleness).
-    std::atomic<int> _lastGeneration{-1};
-    std::atomic<std::uint64_t> _lastNewCells{0};
-    std::atomic<std::uint64_t> _lastTouches{0};
+    // The last generation ingested by onGenerationEvaluated().
+    int _lastGeneration = -1;
+    std::uint64_t _lastNewCells = 0;
+    std::uint64_t _lastTouches = 0;
 };
 
 /**

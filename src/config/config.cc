@@ -348,7 +348,7 @@ runFromConfig(const RunConfig& cfg)
     // Attribution: ablate the flight recorder's retained champions (or
     // the best-ever individual without one) on a private measurement
     // clone and seal attribution/ artifacts. Before the stats dump so
-    // the attribution.* counters land in stats.txt, before the
+    // the attribution.* counters land in metrics.prom, before the
     // provenance seal so the manifest covers the artifacts.
     if (cfg.recordAttribution && !cfg.outputDirectory.empty()) {
         std::unique_ptr<measure::Measurement> private_meas =
@@ -382,7 +382,6 @@ runFromConfig(const RunConfig& cfg)
                 attribution::writeAttributionArtifacts(
                     cfg.outputDirectory + "/attribution", basename,
                     attributed);
-            result.attributionFiles.push_back(artifacts.csvPath);
             result.attributionFiles.push_back(artifacts.jsonPath);
         }
         if (!targets.empty())
@@ -400,15 +399,13 @@ runFromConfig(const RunConfig& cfg)
     }
     if (cfg.recordStats && !cfg.outputDirectory.empty()) {
         // Freshen the process self-observation gauges so the sealed
-        // dump agrees with what a final /metrics scrape would have
-        // shown.
+        // exposition agrees with what a final /metrics scrape would
+        // have shown.
         stats::updateProcessGauges();
-        writeFile(cfg.outputDirectory + "/stats.txt",
-                  stats::StatsRegistry::instance().textDump());
-        writeFile(cfg.outputDirectory + "/metrics.json",
-                  stats::StatsRegistry::instance().jsonDump());
+        writeFile(cfg.outputDirectory + "/metrics.prom",
+                  stats::renderPrometheusMetrics());
         debug("stats recorded in ", cfg.outputDirectory,
-              "/stats.txt and metrics.json");
+              "/metrics.prom");
     }
     // After the stats dump: the last scrape a client can make agrees
     // with the sealed artifacts.

@@ -78,8 +78,8 @@ struct RunConfig
 
     /**
      * Record run statistics (<output stats="...">, default true): the
-     * stats registry is enabled for the run and stats.txt +
-     * metrics.json are written into the output directory.
+     * stats registry is enabled for the run and its Prometheus
+     * exposition is sealed as metrics.prom in the output directory.
      */
     bool recordStats = true;
 
@@ -227,8 +227,9 @@ struct RunResult
     std::string coverageFile;
 
     /**
-     * Attribution artifacts sealed after the run (CSV and JSON twins
-     * interleaved; empty when attribution was off).
+     * Attribution artifacts sealed after the run, one
+     * attribution/individual_<id>.json per attributed champion (empty
+     * when attribution was off).
      */
     std::vector<std::string> attributionFiles;
 };

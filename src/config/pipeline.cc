@@ -14,7 +14,7 @@ namespace {
 
 /**
  * Analytics stat handles, resolved once (the engineStats() pattern):
- * the headline analytics mirrored into stats.txt and metrics.json,
+ * the headline analytics mirrored into metrics.prom and /metrics,
  * subject to the global stats::enabled() flag.
  */
 struct AnalysisStats
@@ -280,8 +280,7 @@ RunPipeline::seal(provenance::SealInfo info)
         return "";
     info.digestsSealed = _digests->rowsSealed();
     info.digestMsTotal = _digests->digestUsTotal() / 1000.0;
-    return provenance::sealManifest(_cfg.outputDirectory, info,
-                                    _writer->artifactKinds());
+    return provenance::sealManifest(_cfg.outputDirectory, info);
 }
 
 std::string

@@ -232,7 +232,7 @@ Engine::measureBatch(const std::vector<std::size_t>& indices)
     engineStats().evaluations.inc(indices.size());
     if (record) {
         // Publish per-worker busy time so pool utilization/imbalance is
-        // visible in stats.txt and metrics.json.
+        // visible in metrics.prom and /metrics.
         for (std::size_t w = 0; w < _workerBusyUs.size(); ++w) {
             if (_workerBusyUs[w] > 0.0)
                 stats::StatsRegistry::instance()

@@ -10,107 +10,6 @@
 namespace gest {
 namespace net {
 
-namespace {
-
-/** Stat name → Prometheus metric name: gest_ prefix, [a-zA-Z0-9_]. */
-std::string
-prometheusName(const std::string& name)
-{
-    std::string out = "gest_";
-    out.reserve(out.size() + name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9');
-        out.push_back(ok ? c : '_');
-    }
-    return out;
-}
-
-std::string
-prometheusDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-/** Escape a HELP text: Prometheus wants \\ and \n escaped. */
-std::string
-helpEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out.push_back(c);
-    }
-    return out;
-}
-
-void
-appendHeader(std::string& out, const std::string& metric,
-             const std::string& desc, const char* type)
-{
-    if (!desc.empty())
-        out += "# HELP " + metric + " " + helpEscape(desc) + "\n";
-    out += "# TYPE " + metric + " " + type + "\n";
-}
-
-} // namespace
-
-std::string
-renderPrometheusMetrics()
-{
-    stats::StatsRegistry& registry = stats::StatsRegistry::instance();
-    std::string out;
-    out.reserve(4096);
-
-    for (const stats::Counter* c : registry.counterList()) {
-        const std::string metric = prometheusName(c->name()) + "_total";
-        appendHeader(out, metric, c->desc(), "counter");
-        out += metric + " " + std::to_string(c->value()) + "\n";
-    }
-    for (const stats::Gauge* g : registry.gaugeList()) {
-        const std::string metric = prometheusName(g->name());
-        appendHeader(out, metric, g->desc(), "gauge");
-        out += metric + " " + prometheusDouble(g->value()) + "\n";
-    }
-    for (const stats::Histogram* h : registry.histogramList()) {
-        const std::string metric = prometheusName(h->name());
-        appendHeader(out, metric, h->desc(), "histogram");
-        // Cumulative le buckets; the underflow bucket folds into the
-        // first edge, the overflow bucket only into +Inf. +Inf and
-        // _count come from the same running sum, so a sample landing
-        // mid-render cannot make them disagree.
-        std::uint64_t cumulative = h->underflow();
-        for (std::size_t i = 0; i < h->numBuckets(); ++i) {
-            cumulative += h->bucketCount(i);
-            out += metric + "_bucket{le=\"" +
-                   prometheusDouble(h->bucketLo(i + 1)) + "\"} " +
-                   std::to_string(cumulative) + "\n";
-        }
-        cumulative += h->overflow();
-        const std::string total = std::to_string(cumulative);
-        out += metric + "_bucket{le=\"+Inf\"} " + total + "\n";
-        out += metric + "_sum " + prometheusDouble(h->sum()) + "\n";
-        out += metric + "_count " + total + "\n";
-        // Quantile gauges from the shared stats::Histogram::quantile
-        // implementation (native histograms carry no quantiles).
-        const char* qs[] = {"0.5", "0.95", "0.99"};
-        const double qv[] = {0.50, 0.95, 0.99};
-        appendHeader(out, metric + "_quantile", "", "gauge");
-        for (int i = 0; i < 3; ++i) {
-            out += metric + "_quantile{quantile=\"" + qs[i] + "\"} " +
-                   prometheusDouble(h->quantile(qv[i])) + "\n";
-        }
-    }
-    return out;
-}
-
 GenerationEventBuffer::GenerationEventBuffer(std::size_t capacity)
     : _slots(capacity == 0 ? 1 : capacity),
       _keys(capacity == 0 ? 1 : capacity)
@@ -330,7 +229,7 @@ TelemetryServer::TelemetryServer(std::string listen_address,
         stats::updateProcessGauges();
         HttpResponse res;
         res.contentType = "text/plain; version=0.0.4; charset=utf-8";
-        res.body = renderPrometheusMetrics();
+        res.body = stats::renderPrometheusMetrics();
         return res;
     });
     _http.route("/status", [this](const HttpRequest&) {

@@ -8,9 +8,9 @@
  * (coordinator thread, one small JSON composition per generation —
  * never on the evaluation hot path), HTTP workers *pull* them out.
  * Scrape endpoints never read the disk artifacts: /status, /history
- * and /champion serve the in-memory copies, /metrics renders the
- * StatsRegistry (relaxed atomics) into Prometheus text exposition
- * format, and /events streams one Server-Sent-Event per sealed
+ * and /champion serve the in-memory copies, /metrics serves
+ * stats::renderPrometheusMetrics() (the text a recorded run seals as
+ * metrics.prom), and /events streams one Server-Sent-Event per sealed
  * generation out of a lock-free single-producer snapshot buffer. The
  * whole plane is read-only: hosting it cannot perturb the GA
  * (bit-identical run artifacts with the server on or off).
@@ -97,17 +97,6 @@ class GenerationEventBuffer
     std::atomic<std::size_t> _size{0};
     std::atomic<std::uint64_t> _dropped{0};
 };
-
-/**
- * Render every registered stat as Prometheus text exposition format
- * (version 0.0.4): counters and gauges one sample each, histograms as
- * native Prometheus histograms (cumulative `le` buckets, `_sum`,
- * `_count`) plus a p50/p95/p99 quantile series derived by
- * stats::Histogram::quantile — the same implementation behind
- * stats.txt and metrics.json. Metric names are `gest_` plus the stat
- * name with every non-alphanumeric character mapped to '_'.
- */
-std::string renderPrometheusMetrics();
 
 /**
  * The in-memory snapshot store behind the endpoints. All setters run

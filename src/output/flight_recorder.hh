@@ -15,9 +15,10 @@
  * or off.
  *
  * At the end of the run, seal() writes one waveform artifact set per
- * surviving champion into `<run_dir>/waveforms/` (CSV + JSON + the
- * PDN current spectrum where applicable, see signal/waveform_io.hh)
- * plus an `index.csv` mapping ids to fitness and files.
+ * surviving champion into `<run_dir>/waveforms/` (the waveform CSV
+ * plus the PDN current spectrum where applicable, see
+ * signal/waveform_io.hh) and an `index.csv` mapping ids to fitness and
+ * files.
  */
 
 #ifndef GEST_OUTPUT_FLIGHT_RECORDER_HH

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "isa/instr_class.hh"
+#include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -35,36 +36,6 @@ field(const std::vector<std::string>& fields, int index,
     return parseDouble(fields[static_cast<std::size_t>(index)],
                        detail::concat(what, " (history.csv line ", line,
                                       ")"));
-}
-
-/**
- * Pull one counter value out of a metrics.json dump. The file is our
- * own StatsRegistry output (`"name": <integer>` pairs), so a targeted
- * string search is enough — no JSON parser needed or shipped.
- */
-bool
-tryMetricsCounter(const std::string& metrics, const std::string& name,
-                  std::uint64_t& out)
-{
-    const std::string key = detail::concat("\"", name, "\":");
-    const std::size_t at = metrics.find(key);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + key.size();
-    while (i < metrics.size() && metrics[i] == ' ')
-        ++i;
-    std::uint64_t value = 0;
-    bool any = false;
-    while (i < metrics.size() && metrics[i] >= '0' &&
-           metrics[i] <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>(metrics[i] - '0');
-        any = true;
-        ++i;
-    }
-    if (!any)
-        return false;
-    out = value;
-    return true;
 }
 
 } // namespace
@@ -237,20 +208,24 @@ analyzeRun(const std::string& run_dir)
     }
 
     std::string metrics;
-    if (tryReadFile(run_dir + "/metrics.json", metrics)) {
-        // All three eval.* counters are registered together, so any
-        // one present means the run used a fast-path-aware build.
-        const bool have =
-            tryMetricsCounter(metrics, "eval.steady_hits",
-                              report.steadyHits) &&
-            tryMetricsCounter(metrics, "eval.cycles_simulated",
-                              report.cyclesSimulated) &&
-            tryMetricsCounter(metrics, "eval.cycles_tiled",
-                              report.cyclesTiled);
-        if (have) {
+    if (tryReadFile(run_dir + "/metrics.prom", metrics)) {
+        // The eval.* counters exist only in runs whose build has the
+        // steady-state fast path; -1 marks an absent counter.
+        const auto counter = [&metrics](const char* name) {
+            return stats::exposedValue(
+                metrics, stats::prometheusName(name) + "_total", -1.0);
+        };
+        const double hits = counter("eval.steady_hits");
+        const double simulated = counter("eval.cycles_simulated");
+        const double tiled = counter("eval.cycles_tiled");
+        if (hits >= 0.0 && simulated >= 0.0 && tiled >= 0.0) {
             report.hasSteadyStats = true;
-            tryMetricsCounter(metrics, "measure.sim.evaluations",
-                              report.simEvaluations);
+            report.steadyHits = static_cast<std::uint64_t>(hits);
+            report.cyclesSimulated =
+                static_cast<std::uint64_t>(simulated);
+            report.cyclesTiled = static_cast<std::uint64_t>(tiled);
+            report.simEvaluations = static_cast<std::uint64_t>(
+                std::max(counter("measure.sim.evaluations"), 0.0));
         }
     }
     return report;

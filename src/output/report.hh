@@ -96,10 +96,11 @@ struct RunReport
     std::uint64_t eliteCopies = 0;
 
     /**
-     * Steady-state fast-path counters, present when the run wrote
-     * metrics.json with the eval.* counters (runs predating the fast
-     * path, or with stats off, summarize without them). Cycle totals
-     * span every simulated-platform measurement of the run.
+     * Steady-state fast-path counters, present when the run sealed
+     * metrics.prom with the eval.* counters (runs with stats off, or
+     * sealed by builds that wrote metrics.json instead, summarize
+     * without them). Cycle totals span every simulated-platform
+     * measurement of the run.
      */
     bool hasSteadyStats = false;
     std::uint64_t simEvaluations = 0;   ///< measure.sim.evaluations

@@ -48,7 +48,6 @@ RunWriter::writeIndividual(int population, const core::Individual& ind)
     }
     const std::string name = individualFileName(population, ind);
     writeFile(_root + "/" + name, body);
-    _artifactKinds[name] = "individual";
 }
 
 void
@@ -59,10 +58,9 @@ RunWriter::writePopulation(const core::Population& pop)
             writeIndividual(pop.generation, ind);
     }
     if (_options.writePopulations) {
-        const std::string name =
-            "population_" + std::to_string(pop.generation) + ".pop";
-        core::savePopulation(_lib, pop, _root + "/" + name);
-        _artifactKinds[name] = "population";
+        core::savePopulation(_lib, pop,
+                             _root + "/population_" +
+                                 std::to_string(pop.generation) + ".pop");
     }
 }
 
@@ -86,7 +84,6 @@ RunWriter::appendHistory(const core::GenerationRecord& record,
                "selection_ms,crossover_ms,mutation_ms,evaluation_ms,"
                "io_ms\n";
         _historyStarted = true;
-        _artifactKinds["history.csv"] = "history";
     }
     out << record.generation << ',' << record.bestFitness << ','
         << record.averageFitness << ',' << record.bestId << ','
@@ -101,14 +98,10 @@ void
 RunWriter::writeRunMetadata(const std::string& config_text,
                             const std::string& template_text)
 {
-    if (!config_text.empty()) {
+    if (!config_text.empty())
         writeFile(_root + "/run_configuration.xml", config_text);
-        _artifactKinds["run_configuration.xml"] = "config";
-    }
-    if (!template_text.empty()) {
+    if (!template_text.empty())
         writeFile(_root + "/run_template.txt", template_text);
-        _artifactKinds["run_template.txt"] = "template";
-    }
 }
 
 void

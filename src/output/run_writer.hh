@@ -14,7 +14,6 @@
 #ifndef GEST_OUTPUT_RUN_WRITER_HH
 #define GEST_OUTPUT_RUN_WRITER_HH
 
-#include <map>
 #include <string>
 
 #include "core/engine.hh"
@@ -113,30 +112,6 @@ class RunWriter
     /** The run directory. */
     const std::string& root() const { return _root; }
 
-    /**
-     * Every artifact this writer emitted, relative path → kind
-     * ("individual", "population", "history", "config", "template").
-     * The provenance manifest records these kinds; artifacts written
-     * by other subsystems get their kind inferred from the file name.
-     */
-    const std::map<std::string, std::string>& artifactKinds() const
-    {
-        return _artifactKinds;
-    }
-
-    /**
-     * Register an artifact another subsystem wrote under the run
-     * directory (run-relative @p rel_path) with an explicit @p kind,
-     * so the provenance manifest labels it without relying on
-     * file-name inference (e.g. "coverage.csv" → "coverage",
-     * "attribution/..." → "attribution").
-     */
-    void noteArtifact(const std::string& rel_path,
-                      const std::string& kind)
-    {
-        _artifactKinds[rel_path] = kind;
-    }
-
     /** File name an individual is stored under (naming convention). */
     std::string individualFileName(int population,
                                    const core::Individual& ind) const;
@@ -148,7 +123,6 @@ class RunWriter
     RunWriterOptions _options;
     bool _historyStarted = false;
     TraceWriter* _trace = nullptr;
-    std::map<std::string, std::string> _artifactKinds;
 };
 
 } // namespace output

@@ -9,6 +9,7 @@
 #include "analysis/health.hh"
 #include "net/http_client.hh"
 #include "output/report.hh"
+#include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
 #include "util/logging.hh"
@@ -156,27 +157,6 @@ loadAlertsCsv(const std::string& run_dir, TopSnapshot& out)
                             alerts[i].severity, alerts[i].message));
 }
 
-/** Value of the first "<metric> <number>" line, or @p fallback. */
-double
-metricValue(const std::string& metrics, const std::string& metric,
-            double fallback)
-{
-    std::size_t pos = 0;
-    while (pos < metrics.size()) {
-        std::size_t eol = metrics.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = metrics.size();
-        if (metrics.compare(pos, metric.size(), metric) == 0 &&
-            pos + metric.size() < eol &&
-            metrics[pos + metric.size()] == ' ') {
-            return std::strtod(metrics.c_str() + pos + metric.size() + 1,
-                               nullptr);
-        }
-        pos = eol + 1;
-    }
-    return fallback;
-}
-
 /** Per-worker busy fractions from engine.worker.N.busy_us counters. */
 std::vector<double>
 workerBusyFromMetrics(const std::string& metrics, double elapsed_s)
@@ -185,7 +165,7 @@ workerBusyFromMetrics(const std::string& metrics, double elapsed_s)
     if (elapsed_s <= 0.0)
         return out;
     for (int w = 0;; ++w) {
-        const double busy_us = metricValue(
+        const double busy_us = stats::exposedValue(
             metrics,
             "gest_engine_worker_" + std::to_string(w) + "_busy_us_total",
             -1.0);
@@ -241,14 +221,18 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
     const net::HttpResult metrics_res = net::httpGet(base + "/metrics");
     if (metrics_res.ok && metrics_res.status == 200) {
         const std::string& m = metrics_res.body;
-        out.selectionMs =
-            metricValue(m, "gest_engine_selection_us_sum", 0.0) / 1e3;
-        out.crossoverMs =
-            metricValue(m, "gest_engine_crossover_us_sum", 0.0) / 1e3;
-        out.mutationMs =
-            metricValue(m, "gest_engine_mutation_us_sum", 0.0) / 1e3;
-        out.simEvaluations = static_cast<std::uint64_t>(metricValue(
-            m, "gest_measure_sim_evaluations_total", 0.0));
+        out.selectionMs = stats::exposedValue(
+                              m, "gest_engine_selection_us_sum", 0.0) /
+                          1e3;
+        out.crossoverMs = stats::exposedValue(
+                              m, "gest_engine_crossover_us_sum", 0.0) /
+                          1e3;
+        out.mutationMs = stats::exposedValue(
+                             m, "gest_engine_mutation_us_sum", 0.0) /
+                         1e3;
+        out.simEvaluations =
+            static_cast<std::uint64_t>(stats::exposedValue(
+                m, "gest_measure_sim_evaluations_total", 0.0));
         out.workerBusyFrac =
             workerBusyFromMetrics(m, out.elapsedSeconds);
     }

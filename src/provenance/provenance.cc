@@ -26,7 +26,7 @@ inferArtifactKind(const std::string& rel_path)
         return "analytics";
     if (rel_path == "status.json")
         return "status";
-    if (rel_path == "stats.txt" || rel_path == "metrics.json")
+    if (rel_path == "metrics.prom")
         return "stats";
     if (rel_path == "run_configuration.xml")
         return "config";
@@ -51,8 +51,7 @@ inferArtifactKind(const std::string& rel_path)
 }
 
 std::string
-sealManifest(const std::string& run_dir, const SealInfo& info,
-             const std::map<std::string, std::string>& kinds)
+sealManifest(const std::string& run_dir, const SealInfo& info)
 {
     Manifest m;
     m.configHash = canonicalConfigHash(info.configText);
@@ -106,9 +105,7 @@ sealManifest(const std::string& run_dir, const SealInfo& info,
         }
         entry.bytes = static_cast<std::uint64_t>(
             fs::file_size(full, ec));
-        const auto kind = kinds.find(rel);
-        entry.kind =
-            kind != kinds.end() ? kind->second : inferArtifactKind(rel);
+        entry.kind = inferArtifactKind(rel);
         m.artifacts.push_back(std::move(entry));
     }
 

@@ -5,7 +5,7 @@
  * During the run the run pipeline appends one population digest per
  * evaluated generation to `digests.csv` (DigestLedger). After every
  * other artifact is final (flight recorder sealed, final heartbeat
- * written, stats dumped) the run driver calls sealManifest(), which
+ * written, stats sealed) the run driver calls sealManifest(), which
  * walks the run directory, checksums every artifact and writes
  * `manifest.json`.
  */
@@ -13,7 +13,6 @@
 #ifndef GEST_PROVENANCE_PROVENANCE_HH
 #define GEST_PROVENANCE_PROVENANCE_HH
 
-#include <map>
 #include <optional>
 #include <string>
 
@@ -46,15 +45,12 @@ struct SealInfo
 };
 
 /**
- * Checksum every artifact under @p run_dir and write manifest.json.
- * Call once, after all other artifacts are final.
- * @param kinds artifact-kind labels by run-relative path (the
- *        RunWriter's registry); unlisted artifacts get a kind inferred
- *        from their name.
+ * Checksum every artifact under @p run_dir and write manifest.json,
+ * labelling each with inferArtifactKind(). Call once, after all other
+ * artifacts are final.
  * @return the manifest's path.
  */
-std::string sealManifest(const std::string& run_dir, const SealInfo& info,
-                         const std::map<std::string, std::string>& kinds);
+std::string sealManifest(const std::string& run_dir, const SealInfo& info);
 
 /**
  * @return the artifact kind inferred from a run-relative path

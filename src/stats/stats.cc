@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #if defined(__linux__)
 #include <unistd.h>
 #endif
-
-#include "util/strutil.hh"
 
 namespace gest {
 namespace stats {
@@ -74,18 +72,44 @@ updateExtremum(std::atomic<double>& current, double v, Cmp better)
     }
 }
 
+/** Shortest of %.15g..%.17g that parses back to exactly @p v. */
 std::string
-formatValue(double v)
+prometheusDouble(double v)
 {
-    // Integral values print without a decimal tail so stats.txt stays
-    // scannable; everything else keeps six significant digits.
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        return std::to_string(static_cast<long long>(v));
-    }
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    for (int digits = 15; digits < 17; ++digits) {
+        std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+        if (std::strtod(buf, nullptr) == v)
+            return buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
+}
+
+/** Escape a HELP text: Prometheus wants \\ and \n escaped. */
+std::string
+helpEscape(const std::string& s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        if (c == '\\')
+            out += "\\\\";
+        else if (c == '\n')
+            out += "\\n";
+        else
+            out.push_back(c);
+    }
+    return out;
+}
+
+void
+appendHeader(std::string& out, const std::string& metric,
+             const std::string& desc, const char* type)
+{
+    if (!desc.empty())
+        out += "# HELP " + metric + " " + helpEscape(desc) + "\n";
+    out += "# TYPE " + metric + " " + type + "\n";
 }
 
 } // namespace
@@ -122,13 +146,6 @@ Histogram::sample(double v)
     _sum.fetch_add(v, std::memory_order_relaxed);
     updateExtremum(_min, v, std::less<double>());
     updateExtremum(_max, v, std::greater<double>());
-}
-
-double
-Histogram::mean() const
-{
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
 }
 
 double
@@ -296,82 +313,85 @@ StatsRegistry::histogramList() const
 }
 
 std::string
-StatsRegistry::textDump() const
+prometheusName(const std::string& name)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::ostringstream os;
-    os << "---------- gest stats ----------\n";
-    auto line = [&](const std::string& name, const std::string& value,
-                    const std::string& desc) {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf), "%-42s %16s", name.c_str(),
-                      value.c_str());
-        os << buf;
-        if (!desc.empty())
-            os << "  # " << desc;
-        os << '\n';
-    };
-    for (const std::unique_ptr<Counter>& c : _counters)
-        line(c->name(), std::to_string(c->value()), c->desc());
-    for (const std::unique_ptr<Gauge>& g : _gauges)
-        line(g->name(), formatValue(g->value()), g->desc());
-    for (const std::unique_ptr<Histogram>& h : _histograms) {
-        line(h->name() + "::count", std::to_string(h->count()),
-             h->desc());
-        line(h->name() + "::mean", formatValue(h->mean()), "");
-        line(h->name() + "::min", formatValue(h->minSeen()), "");
-        line(h->name() + "::max", formatValue(h->maxSeen()), "");
-        line(h->name() + "::p50", formatValue(h->quantile(0.50)), "");
-        line(h->name() + "::p95", formatValue(h->quantile(0.95)), "");
-        line(h->name() + "::p99", formatValue(h->quantile(0.99)), "");
-        line(h->name() + "::sum", formatValue(h->sum()), "");
+    std::string out = "gest_";
+    out.reserve(out.size() + name.size());
+    for (char c : name) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9');
+        out.push_back(ok ? c : '_');
     }
-    os << "---------- end stats ----------\n";
-    return os.str();
+    return out;
 }
 
 std::string
-StatsRegistry::jsonDump() const
+renderPrometheusMetrics()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::ostringstream os;
-    os << "{\n  \"version\": 1,\n  \"counters\": {";
-    bool first = true;
-    for (const std::unique_ptr<Counter>& c : _counters) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(c->name())
-           << "\": " << c->value();
-        first = false;
+    StatsRegistry& registry = StatsRegistry::instance();
+    std::string out;
+    out.reserve(4096);
+
+    for (const Counter* c : registry.counterList()) {
+        const std::string metric = prometheusName(c->name()) + "_total";
+        appendHeader(out, metric, c->desc(), "counter");
+        out += metric + " " + std::to_string(c->value()) + "\n";
     }
-    os << (first ? "}" : "\n  }") << ",\n  \"gauges\": {";
-    first = true;
-    for (const std::unique_ptr<Gauge>& g : _gauges) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(g->name())
-           << "\": " << formatValue(g->value());
-        first = false;
+    for (const Gauge* g : registry.gaugeList()) {
+        const std::string metric = prometheusName(g->name());
+        appendHeader(out, metric, g->desc(), "gauge");
+        out += metric + " " + prometheusDouble(g->value()) + "\n";
     }
-    os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
-    first = true;
-    for (const std::unique_ptr<Histogram>& h : _histograms) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(h->name())
-           << "\": {\"count\": " << h->count()
-           << ", \"sum\": " << formatValue(h->sum())
-           << ", \"mean\": " << formatValue(h->mean())
-           << ", \"min\": " << formatValue(h->minSeen())
-           << ", \"max\": " << formatValue(h->maxSeen())
-           << ", \"p50\": " << formatValue(h->quantile(0.50))
-           << ", \"p95\": " << formatValue(h->quantile(0.95))
-           << ", \"p99\": " << formatValue(h->quantile(0.99))
-           << ", \"lo\": " << formatValue(h->lo())
-           << ", \"hi\": " << formatValue(h->hi())
-           << ", \"underflow\": " << h->underflow()
-           << ", \"overflow\": " << h->overflow() << ", \"buckets\": [";
-        for (std::size_t i = 0; i < h->numBuckets(); ++i)
-            os << (i == 0 ? "" : ", ") << h->bucketCount(i);
-        os << "]}";
-        first = false;
+    for (const Histogram* h : registry.histogramList()) {
+        const std::string metric = prometheusName(h->name());
+        appendHeader(out, metric, h->desc(), "histogram");
+        // Cumulative le buckets; the underflow bucket folds into the
+        // first edge, the overflow bucket only into +Inf. +Inf and
+        // _count come from the same running sum, so a sample landing
+        // mid-render cannot make them disagree.
+        std::uint64_t cumulative = h->underflow();
+        for (std::size_t i = 0; i < h->numBuckets(); ++i) {
+            cumulative += h->bucketCount(i);
+            out += metric + "_bucket{le=\"" +
+                   prometheusDouble(h->bucketLo(i + 1)) + "\"} " +
+                   std::to_string(cumulative) + "\n";
+        }
+        cumulative += h->overflow();
+        const std::string total = std::to_string(cumulative);
+        out += metric + "_bucket{le=\"+Inf\"} " + total + "\n";
+        out += metric + "_sum " + prometheusDouble(h->sum()) + "\n";
+        out += metric + "_count " + total + "\n";
+        // Quantile gauges from Histogram::quantile (native histograms
+        // carry no quantiles).
+        const char* qs[] = {"0.5", "0.95", "0.99"};
+        const double qv[] = {0.50, 0.95, 0.99};
+        appendHeader(out, metric + "_quantile", "", "gauge");
+        for (int i = 0; i < 3; ++i) {
+            out += metric + "_quantile{quantile=\"" + qs[i] + "\"} " +
+                   prometheusDouble(h->quantile(qv[i])) + "\n";
+        }
     }
-    os << (first ? "}" : "\n  }") << "\n}\n";
-    return os.str();
+    return out;
+}
+
+double
+exposedValue(const std::string& exposition, const std::string& metric,
+             double fallback)
+{
+    std::size_t pos = 0;
+    while (pos < exposition.size()) {
+        std::size_t eol = exposition.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = exposition.size();
+        if (exposition.compare(pos, metric.size(), metric) == 0 &&
+            pos + metric.size() < eol &&
+            exposition[pos + metric.size()] == ' ') {
+            return std::strtod(
+                exposition.c_str() + pos + metric.size() + 1, nullptr);
+        }
+        pos = eol + 1;
+    }
+    return fallback;
 }
 
 } // namespace stats

@@ -18,9 +18,10 @@
  *     references that live as long as the process, so hot paths hold
  *     the pointer instead of re-hashing the name.
  *
- * End-of-run, the registry renders itself as a human-readable
- * `stats.txt` (textDump) and a machine-readable `metrics.json`
- * (jsonDump); `gest report` and tools consume the latter.
+ * The registry has one rendering, Prometheus text exposition
+ * (renderPrometheusMetrics): the live `/metrics` endpoint serves it and
+ * the end of a recorded run seals it as `metrics.prom`. exposedValue()
+ * is the one reader of that text (`gest report`, `gest top`).
  */
 
 #ifndef GEST_STATS_STATS_HH
@@ -156,9 +157,6 @@ class Histogram
 
     double sum() const { return _sum.load(std::memory_order_relaxed); }
 
-    /** Arithmetic mean of the samples, 0 when empty. */
-    double mean() const;
-
     /** Smallest sample seen; 0 when empty. */
     double minSeen() const;
 
@@ -170,14 +168,10 @@ class Histogram
      * linear interpolation within the covering bucket, clamped to the
      * observed [minSeen, maxSeen] range (mass in the underflow or
      * overflow bucket resolves to those extremes); 0 when empty. This
-     * is the one implementation behind the `::p50/::p95/::p99` lines
-     * in stats.txt, the `p50/p95/p99` keys in metrics.json and the
-     * quantile series of the /metrics Prometheus endpoint.
+     * is the implementation behind the `_quantile` series of the
+     * Prometheus exposition.
      */
     double quantile(double q) const;
-
-    double lo() const { return _lo; }
-    double hi() const { return _hi; }
 
     /** Number of regular buckets (underflow/overflow not included). */
     std::size_t numBuckets() const { return _buckets.size(); }
@@ -256,12 +250,6 @@ class StatsRegistry
     /** Zero every value; names and layouts survive. */
     void resetValues();
 
-    /** Human-readable dump (the `stats.txt` artifact). */
-    std::string textDump() const;
-
-    /** Machine-readable dump (the `metrics.json` artifact). */
-    std::string jsonDump() const;
-
     /** Sorted names of all registered stats (tests, report). */
     std::vector<std::string> names() const;
 
@@ -269,8 +257,7 @@ class StatsRegistry
      * Pointers to every registered stat of one kind, in registration
      * order. The objects live for the process, so the pointers never
      * dangle; values read off them are as fresh as their relaxed
-     * atomics. Used by renderers that need typed access (the /metrics
-     * Prometheus endpoint).
+     * atomics. Used by renderPrometheusMetrics().
      */
     std::vector<const Counter*> counterList() const;
     std::vector<const Gauge*> gaugeList() const;
@@ -284,6 +271,32 @@ class StatsRegistry
     std::vector<std::unique_ptr<Gauge>> _gauges;
     std::vector<std::unique_ptr<Histogram>> _histograms;
 };
+
+/**
+ * Render every registered stat as Prometheus text exposition format
+ * (version 0.0.4): counters and gauges one sample each, histograms as
+ * native Prometheus histograms (cumulative `le` buckets, `_sum`,
+ * `_count`) plus a p50/p95/p99 `_quantile` gauge series from
+ * Histogram::quantile. Metric names come from prometheusName(); values
+ * print in the shortest form that parses back to the same double, so a
+ * reader recovers every value exactly. This one text is both the
+ * /metrics body and the sealed `metrics.prom` run artifact.
+ */
+std::string renderPrometheusMetrics();
+
+/**
+ * Stat name -> Prometheus metric name: `gest_` plus the stat name with
+ * every character outside [a-zA-Z0-9] mapped to '_'. Counters carry a
+ * further `_total` suffix, histograms `_bucket`/`_sum`/`_count`.
+ */
+std::string prometheusName(const std::string& name);
+
+/**
+ * Value of the first unlabelled `<metric> <number>` sample line of a
+ * Prometheus exposition, or @p fallback when no such line exists.
+ */
+double exposedValue(const std::string& exposition,
+                    const std::string& metric, double fallback);
 
 /**
  * Times a scope and feeds the elapsed microseconds into a histogram on

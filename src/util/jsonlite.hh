@@ -1,7 +1,7 @@
 /**
  * @file
  * A minimal JSON reader for the framework's own machine-readable
- * artifacts (status.json, metrics.json, the telemetry endpoints).
+ * artifacts (status.json, manifest.json, the telemetry endpoints).
  *
  * The framework *writes* JSON in several places but until the live
  * telemetry plane never had to read it back; `gest top` does (it polls

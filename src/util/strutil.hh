@@ -66,8 +66,8 @@ std::string formatFixed(double v, int precision);
  * Escape @p s for inclusion inside a JSON string literal: quotes and
  * backslashes are backslash-escaped, control characters become \uXXXX
  * (with the \n \t \r \f \b shorthands), and non-ASCII bytes pass
- * through untouched (JSON is UTF-8). Used by the Chrome-trace and
- * metrics.json writers.
+ * through untouched (JSON is UTF-8). Used by every JSON artifact
+ * writer (Chrome trace, status.json, attribution, manifest).
  */
 std::string jsonEscape(std::string_view s);
 

@@ -360,42 +360,89 @@ TEST(Attribution, ArtifactsRoundTrip)
         attribution::writeAttributionArtifacts(dir, "individual_99",
                                                result);
 
-    const std::string csv = readFile(artifacts.csvPath);
-    EXPECT_TRUE(startsWith(csv, "# gest-attribution v1\n"));
-    EXPECT_NE(csv.find("# annotation individual_id 99\n"),
-              std::string::npos);
-    EXPECT_NE(csv.find("# annotation generation 3\n"),
-              std::string::npos);
-    EXPECT_NE(csv.find("gene,instruction,class,operands,delta_fitness,"
-                       "fitness_without\n"),
-              std::string::npos);
-    // One data row per gene.
-    std::size_t rows = 0;
-    for (const std::string& line : split(csv, '\n')) {
-        if (!line.empty() && line[0] != '#' &&
-            line[0] >= '0' && line[0] <= '9')
-            ++rows;
-    }
-    EXPECT_EQ(rows, ind.code.size());
+    EXPECT_EQ(artifacts.jsonPath, dir + "/individual_99.json");
+    // The JSON is the one attribution format: no CSV beside it.
+    EXPECT_FALSE(fileExists(dir + "/individual_99.csv"));
 
-    json::Value twin;
+    json::Value doc;
     std::string error;
-    ASSERT_TRUE(
-        json::parse(readFile(artifacts.jsonPath), twin, &error))
+    ASSERT_TRUE(json::parse(readFile(artifacts.jsonPath), doc, &error))
         << error;
-    EXPECT_EQ(twin.numberOr("version", 0),
-              attribution::attributionCsvVersion);
-    EXPECT_EQ(twin.numberOr("individual_id", 0), 99.0);
-    EXPECT_EQ(twin.numberOr("generation", -1), 3.0);
-    EXPECT_DOUBLE_EQ(twin.numberOr("baseline_fitness", 0.0),
-                     result.baselineFitness);
-    const json::Value* genes = twin.find("genes");
+    EXPECT_EQ(doc.numberOr("version", 0),
+              attribution::attributionJsonVersion);
+    EXPECT_EQ(doc.numberOr("individual_id", 0), 99.0);
+    EXPECT_EQ(doc.numberOr("generation", -1), 3.0);
+    // %.17g: every double reads back bit-exactly.
+    EXPECT_EQ(doc.numberOr("baseline_fitness", 0.0),
+              result.baselineFitness);
+    EXPECT_EQ(doc.numberOr("sum_delta", 0.0), result.sumDelta);
+    EXPECT_EQ(doc.numberOr("whole_ablation_delta", 0.0),
+              result.wholeAblationDelta);
+    EXPECT_EQ(doc.numberOr("evaluations", 0.0),
+              static_cast<double>(result.evaluationsUsed));
+    const json::Value* filler = doc.find("filler");
+    ASSERT_NE(filler, nullptr);
+    EXPECT_EQ(filler->stringOr("instruction", ""),
+              result.fillerInstruction);
+    // One entry per gene, in body order.
+    const json::Value* genes = doc.find("genes");
     ASSERT_NE(genes, nullptr);
-    EXPECT_EQ(genes->array.size(), ind.code.size());
-    EXPECT_NE(twin.find("classes"), nullptr);
-    EXPECT_NE(twin.find("operand_bins"), nullptr);
-    EXPECT_NE(twin.find("top_genes"), nullptr);
+    ASSERT_EQ(genes->array.size(), ind.code.size());
+    for (std::size_t i = 0; i < genes->array.size(); ++i) {
+        const json::Value& gene = genes->array[i];
+        EXPECT_EQ(gene.numberOr("gene", -1), static_cast<double>(i));
+        EXPECT_EQ(gene.stringOr("instruction", ""),
+                  result.genes[i].instruction);
+        EXPECT_EQ(gene.stringOr("operands", "?"),
+                  result.genes[i].operands);
+        EXPECT_EQ(gene.numberOr("delta_fitness", 0.0),
+                  result.genes[i].deltaFitness);
+    }
+    EXPECT_NE(doc.find("classes"), nullptr);
+    EXPECT_NE(doc.find("operand_bins"), nullptr);
+    EXPECT_NE(doc.find("top_genes"), nullptr);
     removeAll(dir);
+}
+
+TEST(Attribution, JsonEscapesNamesOperandsAndBins)
+{
+    // Instruction names, operands, the filler and operand-bin keys come
+    // from the user's library; quotes, backslashes and control
+    // characters must survive as valid JSON strings.
+    const std::string name = "MY\"ADD\\";
+    const std::string operands = "r\"1 \\r2\t#3";
+    attribution::AttributionResult result;
+    result.individualId = 7;
+    result.fillerInstruction = "N\"OP";
+    attribution::GeneAttribution gene;
+    gene.instruction = name;
+    gene.operands = operands;
+    gene.cls = isa::InstrClass::ShortInt;
+    result.genes.push_back(gene);
+    attribution::ClassAttribution cls;
+    cls.cls = isa::InstrClass::ShortInt;
+    cls.genes = 1;
+    result.classes.push_back(cls);
+    attribution::OperandBinAttribution bin;
+    bin.key = name + "/op0=\"x\"";
+    bin.genes = 1;
+    result.operandBins.push_back(bin);
+    result.topGenes.push_back(0);
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(attribution::formatAttributionJson(result),
+                            doc, &error))
+        << error;
+    EXPECT_EQ(doc.find("filler")->stringOr("instruction", ""), "N\"OP");
+    ASSERT_EQ(doc.find("genes")->array.size(), 1u);
+    EXPECT_EQ(doc.find("genes")->array[0].stringOr("instruction", ""),
+              name);
+    EXPECT_EQ(doc.find("genes")->array[0].stringOr("operands", ""),
+              operands);
+    ASSERT_EQ(doc.find("operand_bins")->array.size(), 1u);
+    EXPECT_EQ(doc.find("operand_bins")->array[0].stringOr("bin", ""),
+              bin.key);
 }
 
 // ---------------------------------------------------------------------
@@ -533,8 +580,10 @@ TEST(Coverage, RunSealsCoverageAndAttributionArtifacts)
     EXPECT_EQ(result.coverageFile, dir + "/coverage.csv");
     EXPECT_TRUE(fileExists(result.coverageFile));
     ASSERT_FALSE(result.attributionFiles.empty());
-    for (const std::string& path : result.attributionFiles)
+    for (const std::string& path : result.attributionFiles) {
         EXPECT_TRUE(fileExists(path)) << path;
+        EXPECT_TRUE(endsWith(path, ".json")) << path;
+    }
 
     // One coverage row per generation after the header.
     std::size_t rows = 0;

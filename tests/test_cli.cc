@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <set>
 
+#include "stats/stats.hh"
 #include "util/fileutil.hh"
+#include "util/jsonlite.hh"
 #include "util/strutil.hh"
 
 #ifndef GEST_CLI_PATH
@@ -170,19 +172,26 @@ TEST_F(CliTest, RunWithTraceWritesObservabilityArtifacts)
 
     const std::string run_dir = _dir + "/run_out";
     ASSERT_TRUE(fileExists(run_dir + "/trace.json"));
-    EXPECT_TRUE(fileExists(run_dir + "/stats.txt"));
-    EXPECT_TRUE(fileExists(run_dir + "/metrics.json"));
+    ASSERT_TRUE(fileExists(run_dir + "/metrics.prom"));
+    // metrics.prom is the run's only stats artifact.
+    EXPECT_FALSE(fileExists(run_dir + "/stats.txt"));
+    EXPECT_FALSE(fileExists(run_dir + "/metrics.json"));
 
     const std::string trace = readFile(run_dir + "/trace.json");
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(trace.find("coordinator"), std::string::npos);
 
-    const std::string metrics = readFile(run_dir + "/metrics.json");
-    EXPECT_NE(metrics.find("\"engine.generations\": 3"),
+    const std::string metrics = readFile(run_dir + "/metrics.prom");
+    EXPECT_EQ(stats::exposedValue(metrics,
+                                  "gest_engine_generations_total", -1.0),
+              3.0);
+    EXPECT_GT(stats::exposedValue(metrics,
+                                  "gest_engine_evaluations_total", -1.0),
+              0.0);
+    EXPECT_NE(metrics.find("# TYPE gest_engine_evaluations_total "
+                           "counter\n"),
               std::string::npos);
-    const std::string stats = readFile(run_dir + "/stats.txt");
-    EXPECT_NE(stats.find("engine.evaluations"), std::string::npos);
 
     // The v2 history carries the per-phase timing columns.
     const std::string history = readFile(run_dir + "/history.csv");
@@ -322,7 +331,7 @@ TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)
     const std::string run_dir = _dir + "/didt_out";
     ASSERT_TRUE(fileExists(run_dir + "/waveforms/index.csv"));
     const std::string index = readFile(run_dir + "/waveforms/index.csv");
-    EXPECT_NE(index.find("# gest-waveform-index v1"),
+    EXPECT_NE(index.find("# gest-waveform-index v2"),
               std::string::npos);
 
     ASSERT_EQ(runCli("probe '" + _dir + "/didt.xml' '" + run_dir + "'",
@@ -334,7 +343,7 @@ TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)
     EXPECT_NE(output.find("resonance"), std::string::npos);
     EXPECT_TRUE(dirExists(run_dir + "/probe"));
     const auto probe_files = listFiles(run_dir + "/probe");
-    EXPECT_GE(probe_files.size(), 3u); // csv + json + spectrum
+    EXPECT_EQ(probe_files.size(), 2u); // csv + spectrum
 
     // probe also accepts a population file directly, with --out.
     ASSERT_EQ(runCli("probe '" + _dir + "/didt.xml' '" + run_dir +
@@ -533,19 +542,22 @@ TEST_F(CliTest, AttributeExplainsTheChampion)
 
     // The default lands beside, never inside, the sealed attribution/
     // directory, so attributing a sealed run keeps it verifiable.
-    const std::string csv_dir = run_dir + "/attribute";
-    ASSERT_TRUE(dirExists(csv_dir)) << output;
-    bool found_csv = false;
+    const std::string out_dir = run_dir + "/attribute";
+    ASSERT_TRUE(dirExists(out_dir)) << output;
+    bool found_json = false;
     for (const std::string& line : split(output, '\n')) {
-        const std::size_t at = line.find(csv_dir + "/individual_");
-        if (at != std::string::npos && endsWith(line, ".csv")) {
-            const std::string path = line.substr(at);
-            EXPECT_TRUE(startsWith(readFile(path),
-                                   "# gest-attribution v1\n"));
-            found_csv = true;
+        const std::size_t at = line.find(out_dir + "/individual_");
+        if (at != std::string::npos && endsWith(line, ".json")) {
+            json::Value doc;
+            std::string error;
+            EXPECT_TRUE(json::parse(readFile(line.substr(at)), doc,
+                                    &error))
+                << error;
+            EXPECT_EQ(doc.numberOr("version", 0), 1.0);
+            found_json = true;
         }
     }
-    EXPECT_TRUE(found_csv) << output;
+    EXPECT_TRUE(found_json) << output;
     EXPECT_EQ(runCli("verify '" + run_dir + "' --quick", output, _dir),
               0)
         << output;

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -127,27 +128,28 @@ TEST(HistogramQuantile, InterpolatesAndClamps)
     stats::setEnabled(was);
 }
 
-TEST(HistogramQuantile, AppearsInDumps)
+TEST(HistogramQuantile, AppearsInExposition)
 {
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
         "test.net.dump", "dump test", 0.0, 10.0, 5);
     const bool was = stats::enabled();
     stats::setEnabled(true);
     hist.sample(5.0);
-    const std::string text =
-        stats::StatsRegistry::instance().textDump();
-    EXPECT_NE(text.find("test.net.dump::p50"), std::string::npos);
-    EXPECT_NE(text.find("test.net.dump::p95"), std::string::npos);
-    EXPECT_NE(text.find("test.net.dump::p99"), std::string::npos);
-
-    json::Value metrics;
-    ASSERT_TRUE(json::parse(stats::StatsRegistry::instance().jsonDump(),
-                            metrics, nullptr));
-    const json::Value* entry =
-        metrics.find("histograms")->find("test.net.dump");
-    ASSERT_NE(entry, nullptr);
-    for (const char* key : {"p50", "p95", "p99"})
-        EXPECT_NE(entry->find(key), nullptr) << key;
+    const std::string text = stats::renderPrometheusMetrics();
+    EXPECT_NE(text.find("# TYPE gest_test_net_dump_quantile gauge\n"),
+              std::string::npos);
+    for (const char* q : {"0.5", "0.95", "0.99"}) {
+        const std::string line = std::string(
+                                     "gest_test_net_dump_quantile{"
+                                     "quantile=\"") +
+                                 q + "\"} ";
+        const std::size_t at = text.find(line);
+        ASSERT_NE(at, std::string::npos) << q;
+        // One sample at 5.0: every quantile is that sample.
+        EXPECT_EQ(std::strtod(text.c_str() + at + line.size(), nullptr),
+                  hist.quantile(std::strtod(q, nullptr)))
+            << q;
+    }
     stats::setEnabled(was);
 }
 
@@ -173,7 +175,7 @@ TEST(HistogramQuantile, PrometheusInfMatchesCountUnderConcurrentSamples)
 
     int histograms_checked = 0;
     for (int render = 0; render < 2000; ++render) {
-        const std::string text = net::renderPrometheusMetrics();
+        const std::string text = stats::renderPrometheusMetrics();
         std::size_t pos = 0;
         while ((pos = text.find("_bucket{le=\"+Inf\"} ", pos)) !=
                std::string::npos) {

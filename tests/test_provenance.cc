@@ -535,7 +535,16 @@ TEST(Provenance, InferredArtifactKinds)
               "individual");
     EXPECT_EQ(provenance::inferArtifactKind("run_configuration.xml"),
               "config");
-    EXPECT_EQ(provenance::inferArtifactKind("stats.txt"), "stats");
+    EXPECT_EQ(provenance::inferArtifactKind("metrics.prom"), "stats");
+    EXPECT_EQ(provenance::inferArtifactKind("population_12.pop"),
+              "population");
+    EXPECT_EQ(provenance::inferArtifactKind("run_template.txt"),
+              "template");
+    EXPECT_EQ(provenance::inferArtifactKind("3_41_1.300_1.330.txt"),
+              "individual");
+    EXPECT_EQ(provenance::inferArtifactKind(
+                  "attribution/individual_41.json"),
+              "attribution");
 }
 
 } // namespace

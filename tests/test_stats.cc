@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -108,7 +109,6 @@ TEST_F(StatsTest, HistogramBucketsAndExtrema)
     EXPECT_EQ(h.underflow(), 1u);
     EXPECT_EQ(h.overflow(), 2u);
     EXPECT_DOUBLE_EQ(h.sum(), 59.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 11.8);
     EXPECT_DOUBLE_EQ(h.minSeen(), -3.0);
     EXPECT_DOUBLE_EQ(h.maxSeen(), 42.0);
     EXPECT_DOUBLE_EQ(h.bucketLo(3), 3.0);
@@ -180,27 +180,131 @@ TEST_F(StatsTest, ConcurrentRecordingIsConsistent)
     EXPECT_EQ(in_buckets, h.count());
 }
 
-TEST_F(StatsTest, DumpsCarryNamesValuesAndEscaping)
+TEST_F(StatsTest, ExpositionCarriesNamesValuesAndEscaping)
 {
     stats::StatsRegistry& reg = stats::StatsRegistry::instance();
-    stats::Counter& ctr =
-        reg.counter("test.dump_counter", "desc with \"quotes\"");
+    stats::Counter& ctr = reg.counter(
+        "test.dump_counter", "desc with \"quotes\", back\\slash\nnewline");
     reg.resetValues();
     stats::setEnabled(true);
     ctr.inc(7);
 
-    const std::string text = reg.textDump();
-    EXPECT_NE(text.find("test.dump_counter"), std::string::npos);
-    EXPECT_NE(text.find("desc with \"quotes\""), std::string::npos);
-
-    const std::string json = reg.jsonDump();
-    EXPECT_NE(json.find("\"test.dump_counter\": 7"), std::string::npos);
+    const std::string text = stats::renderPrometheusMetrics();
+    // HELP keeps quotes verbatim and escapes backslash and newline, so
+    // the description stays on its one comment line.
+    EXPECT_NE(text.find("# HELP gest_test_dump_counter_total desc with "
+                        "\"quotes\", back\\\\slash\\nnewline\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE gest_test_dump_counter_total counter\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("\ngest_test_dump_counter_total 7\n"),
+              std::string::npos);
+    EXPECT_EQ(stats::prometheusName("a.b-c/d9"), "gest_a_b_c_d9");
     // The registry names() list is sorted and contains everything.
     const std::vector<std::string> names = reg.names();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
     EXPECT_NE(std::find(names.begin(), names.end(),
                         std::string("test.dump_counter")),
               names.end());
+}
+
+TEST_F(StatsTest, HistogramQuantileStaysInRangeAndMonotone)
+{
+    // Property: for any sample set, quantile(q) lies in [min, max] and
+    // never decreases as q grows — whether the mass sits in regular
+    // buckets, the underflow bucket or the overflow bucket. A bucket
+    // width that is not a binary fraction exercises edge rounding.
+    stats::Histogram& h = stats::StatsRegistry::instance().histogram(
+        "test.quantile_property", "quantile property", 0.0, 10.0, 7);
+    stats::setEnabled(true);
+    std::mt19937_64 rng(20190324);
+    struct Mix
+    {
+        double under, over;  ///< share of samples outside [0, 10)
+    };
+    const Mix mixes[] = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0},
+                         {0.3, 0.0}, {0.0, 0.3}, {0.25, 0.25}};
+    for (const Mix& mix : mixes) {
+        for (int trial = 0; trial < 20; ++trial) {
+            stats::StatsRegistry::instance().resetValues();
+            const int n = 1 + static_cast<int>(rng() % 200);
+            std::uniform_real_distribution<double> unit(0.0, 1.0);
+            for (int i = 0; i < n; ++i) {
+                const double pick = unit(rng);
+                if (pick < mix.under)
+                    h.sample(-50.0 * unit(rng) - 1e-9);
+                else if (pick < mix.under + mix.over)
+                    h.sample(10.0 + 50.0 * unit(rng));
+                else
+                    h.sample(10.0 * unit(rng));
+            }
+            double previous = h.quantile(0.0);
+            for (int step = 0; step <= 1000; ++step) {
+                const double q = step / 1000.0;
+                const double value = h.quantile(q);
+                ASSERT_GE(value, h.minSeen()) << "q=" << q;
+                ASSERT_LE(value, h.maxSeen()) << "q=" << q;
+                ASSERT_GE(value, previous) << "q=" << q << " n=" << n;
+                previous = value;
+            }
+        }
+    }
+}
+
+TEST_F(StatsTest, ExpositionRoundTripsEveryValue)
+{
+    // Every value the sealed metrics.prom carries reads back through
+    // the shared reader exactly as the registry holds it.
+    stats::StatsRegistry& reg = stats::StatsRegistry::instance();
+    stats::Counter& big = reg.counter("test.roundtrip.counter", "");
+    stats::Gauge& third = reg.gauge("test.roundtrip.third", "");
+    stats::Gauge& tiny = reg.gauge("test.roundtrip.tiny", "");
+    stats::Gauge& huge = reg.gauge("test.roundtrip.huge", "");
+    stats::Histogram& hist = reg.histogram("test.roundtrip.hist", "",
+                                           0.0, 1.0, 3);
+    reg.resetValues();
+    stats::setEnabled(true);
+    big.inc(123456789012ull);
+    third.set(1.0 / 3.0);
+    tiny.set(0.1 + 0.2);
+    huge.set(-2.5e17 - 1.0 / 7.0);
+    for (double v : {0.1, 0.7, 1.0 / 3.0, -0.2, 9.75})
+        hist.sample(v);
+
+    const std::string text = stats::renderPrometheusMetrics();
+    int checked = 0;
+    for (const stats::Counter* c : reg.counterList()) {
+        EXPECT_EQ(stats::exposedValue(
+                      text, stats::prometheusName(c->name()) + "_total",
+                      -1.0),
+                  static_cast<double>(c->value()))
+            << c->name();
+        ++checked;
+    }
+    for (const stats::Gauge* g : reg.gaugeList()) {
+        EXPECT_EQ(stats::exposedValue(text, stats::prometheusName(g->name()),
+                                      -1.0),
+                  g->value())
+            << g->name();
+        ++checked;
+    }
+    for (const stats::Histogram* hg : reg.histogramList()) {
+        const std::string metric = stats::prometheusName(hg->name());
+        EXPECT_EQ(stats::exposedValue(text, metric + "_sum", -1.0),
+                  hg->sum())
+            << hg->name();
+        EXPECT_EQ(stats::exposedValue(text, metric + "_count", -1.0),
+                  static_cast<double>(hg->count()))
+            << hg->name();
+        ++checked;
+    }
+    EXPECT_GE(checked, 5);
+    EXPECT_EQ(stats::exposedValue(text, "gest_no_such_metric", -7.0),
+              -7.0);
+    // A labelled bucket line is not the unlabelled sample.
+    EXPECT_EQ(stats::exposedValue(text, "gest_test_roundtrip_hist_bucket",
+                                  -7.0),
+              -7.0);
 }
 
 // ---------------------------------------------------------------- JSON

@@ -1,27 +1,27 @@
 #!/usr/bin/env python3
 """Validate gest's fitness-attribution and coverage-ledger artifacts.
 
-Checks the `# gest-attribution v1` CSV format (sealed by a run with
-<output attribution="true"/> or written by `gest attribute`) and the
-`# gest-coverage v1` per-generation ledger:
+Checks the version-1 attribution JSON (attribution/individual_<id>.json,
+sealed by a run with <output attribution="true"/> or written by `gest
+attribute`) and the `# gest-coverage v1` per-generation ledger:
 
-  * the version comment, `# annotation` lines, the `# filler` line and
-    the per-gene rows are well-formed, with one row per declared gene;
-  * the sum_delta annotation equals the sum of the per-gene
-    delta_fitness values to 1e-9, every delta equals
-    baseline - fitness_without, and the additive story stays inside the
+  * the object carries the documented keys, a filler with a known
+    strategy, one well-formed entry per gene in body order, and the
+    class / operand-bin / top-gene aggregate lists;
+  * sum_delta equals the sum of the per-gene delta_fitness values to
+    1e-9, every delta equals baseline - fitness_without, the
+    evaluation count stays within [1, genes + 2], the class aggregates
+    cover every gene, and the additive story stays inside the
     interaction sanity band: |sum_delta - whole_ablation_delta| must
     not exceed max(1, |baseline_fitness|) (gene interactions explain
     the gap; a violation means the deltas are nonsense);
-  * the JSON twin (<base>.json) carries the same annotations, genes,
-    class and operand-bin aggregates;
   * coverage.csv declares the cell universe once and its rows are
     cumulative: cells_seen is non-decreasing, never exceeds
     cells_total, saturation_pct is recomputed exactly, per-class seen
     columns sum to cells_seen.
 
 Usage:
-  check_attribution.py <file.csv | run_dir>   validate artifacts
+  check_attribution.py <file.json | run_dir>  validate artifacts
   check_attribution.py --drive <gest-binary>  run a tiny GA with
                                               attribution + --listen
                                               on (coverage is always
@@ -48,7 +48,7 @@ import tempfile
 import time
 
 import checklib
-from checklib import ServerGone, fail, get_json, wait_for_listen
+from checklib import ServerGone, fail, get_json, run_gest, wait_for_listen
 
 TOLERANCE = 1e-9
 
@@ -69,165 +69,94 @@ CLASS_TOKENS = ("short_int", "long_int", "float_simd", "mem", "branch",
                 "nop")
 
 
-
-
-
 # ---------------------------------------------------------------------
 # Attribution artifacts.
 
-def parse_attribution_csv(path):
-    """Parse one gest-attribution CSV into (annotations, filler, rows)."""
+def load_attribution(path):
+    """Load one attribution JSON and check its schema; @return it."""
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            doc = json.load(handle)
     except OSError as err:
         fail(f"cannot read {path}: {err}")
-    if not lines or lines[0] != "# gest-attribution v1":
-        fail(f"{path} lacks the '# gest-attribution v1' version header")
-
-    annotations = {}
-    filler = None
-    body_start = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("# annotation "):
-            parts = line.split(" ", 3)
-            if len(parts) != 4:
-                fail(f"{path}:{lineno}: malformed annotation: {line}")
-            annotations[parts[2]] = float(parts[3])
-        elif line.startswith("# filler "):
-            fields = line.split(" ")
-            if len(fields) != 5 or fields[3] != "strategy":
-                fail(f"{path}:{lineno}: malformed filler line: {line}")
-            if fields[4] not in ("nop", "same-class"):
-                fail(f"{path}:{lineno}: unknown filler strategy "
-                     f"'{fields[4]}'")
-            filler = (fields[2], fields[4])
-        elif line.startswith("#"):
-            fail(f"{path}:{lineno}: unexpected comment: {line}")
-        else:
-            if line != ("gene,instruction,class,operands,delta_fitness,"
-                        "fitness_without"):
-                fail(f"{path}:{lineno}: expected the column header, "
-                     f"got: {line}")
-            body_start = lineno
-            break
-    if body_start is None:
-        fail(f"{path} has no column header row")
-    if filler is None:
-        fail(f"{path} has no '# filler' line")
-    for key in ("individual_id", "baseline_fitness", "sum_delta",
-                "whole_ablation_delta", "evaluations", "genes"):
-        if key not in annotations:
-            fail(f"{path} lacks the '{key}' annotation")
-
-    rows = []
-    for lineno, line in enumerate(lines[body_start:],
-                                  start=body_start + 1):
-        parts = line.split(",")
-        if len(parts) != 6:
-            fail(f"{path}:{lineno}: expected 6 columns: {line}")
-        gene, instruction, cls, operands, delta, without = parts
-        if int(gene) != len(rows):
-            fail(f"{path}:{lineno}: gene index {gene} out of order")
-        if not instruction:
-            fail(f"{path}:{lineno}: empty instruction name")
-        if cls not in CLASS_TOKENS:
-            fail(f"{path}:{lineno}: unknown class token '{cls}'")
-        delta, without = float(delta), float(without)
-        if not math.isfinite(delta) or not math.isfinite(without):
-            fail(f"{path}:{lineno}: non-finite delta/fitness")
-        rows.append({"gene": int(gene), "instruction": instruction,
-                     "class": cls, "operands": operands,
-                     "delta_fitness": delta,
-                     "fitness_without": without})
-    return annotations, filler, rows
+    except json.JSONDecodeError as err:
+        fail(f"{path} is not valid JSON: {err}")
+    if not isinstance(doc, dict) or doc.get("version") != 1:
+        fail(f"{path}: not a version-1 attribution object")
+    for key in ("individual_id", "generation", "baseline_fitness",
+                "sum_delta", "whole_ablation_delta", "evaluations"):
+        if not isinstance(doc.get(key), (int, float)):
+            fail(f"{path}: missing or non-numeric '{key}'")
+    filler = doc.get("filler")
+    if not isinstance(filler, dict) or not filler.get("instruction") or \
+            filler.get("strategy") not in ("nop", "same-class"):
+        fail(f"{path}: malformed filler: {filler!r}")
+    for key in ("genes", "classes", "operand_bins", "top_genes"):
+        if not isinstance(doc.get(key), list):
+            fail(f"{path}: missing list '{key}'")
+    for index, gene in enumerate(doc["genes"]):
+        if gene.get("gene") != index:
+            fail(f"{path}: gene {index} carries index "
+                 f"{gene.get('gene')!r}")
+        if not gene.get("instruction"):
+            fail(f"{path}: gene {index} has an empty instruction name")
+        if gene.get("class") not in CLASS_TOKENS:
+            fail(f"{path}: gene {index} has unknown class "
+                 f"{gene.get('class')!r}")
+        if not isinstance(gene.get("operands"), str):
+            fail(f"{path}: gene {index} lacks its operands string")
+        for key in ("delta_fitness", "fitness_without"):
+            if not isinstance(gene.get(key), (int, float)) or \
+                    not math.isfinite(gene[key]):
+                fail(f"{path}: gene {index} has a bad {key}")
+    return doc
 
 
-def check_attribution_semantics(path, annotations, rows):
-    if len(rows) != int(annotations["genes"]):
-        fail(f"{path}: {len(rows)} gene rows but the 'genes' "
-             f"annotation says {int(annotations['genes'])}")
-    baseline = annotations["baseline_fitness"]
+def check_attribution_semantics(path, doc):
+    genes = doc["genes"]
+    baseline = doc["baseline_fitness"]
     if not math.isfinite(baseline):
         fail(f"{path}: non-finite baseline_fitness")
 
     derived_sum = 0.0
-    for row in rows:
-        expected = baseline - row["fitness_without"]
-        if abs(row["delta_fitness"] - expected) > TOLERANCE:
-            fail(f"{path}: gene {row['gene']} delta "
-                 f"{row['delta_fitness']!r} != baseline - "
+    for gene in genes:
+        expected = baseline - gene["fitness_without"]
+        if abs(gene["delta_fitness"] - expected) > TOLERANCE:
+            fail(f"{path}: gene {gene['gene']} delta "
+                 f"{gene['delta_fitness']!r} != baseline - "
                  f"fitness_without = {expected!r}")
-        derived_sum += row["delta_fitness"]
-    if abs(annotations["sum_delta"] - derived_sum) > TOLERANCE:
-        fail(f"{path}: sum_delta {annotations['sum_delta']!r} "
-             f"disagrees with the row sum {derived_sum!r}")
+        derived_sum += gene["delta_fitness"]
+    if abs(doc["sum_delta"] - derived_sum) > TOLERANCE:
+        fail(f"{path}: sum_delta {doc['sum_delta']!r} disagrees with "
+             f"the per-gene sum {derived_sum!r}")
 
     # The interaction sanity band: per-gene deltas need not add up to
     # the joint ablation (interactions are the point), but the two must
     # stay commensurate with the baseline — a divergence beyond the
     # baseline's own magnitude means the deltas are garbage.
     band = max(1.0, abs(baseline))
-    gap = abs(annotations["sum_delta"] -
-              annotations["whole_ablation_delta"])
+    gap = abs(doc["sum_delta"] - doc["whole_ablation_delta"])
     if gap > band:
         fail(f"{path}: |sum_delta - whole_ablation_delta| = {gap!r} "
              f"exceeds the sanity band {band!r}")
 
-    evals = int(annotations["evaluations"])
-    if not 1 <= evals <= len(rows) + 2:
+    evals = int(doc["evaluations"])
+    if not 1 <= evals <= len(genes) + 2:
         fail(f"{path}: evaluations {evals} outside [1, genes+2]")
 
-
-def check_attribution_json_twin(csv_path, annotations, filler, rows):
-    json_path = os.path.splitext(csv_path)[0] + ".json"
-    if not os.path.exists(json_path):
-        fail(f"{csv_path} has no JSON twin {json_path}")
-    try:
-        with open(json_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        fail(f"{json_path} invalid: {err}")
-    if doc.get("version") != 1:
-        fail(f"{json_path}: version != 1")
-    for key in ("individual_id", "baseline_fitness", "sum_delta",
-                "whole_ablation_delta", "evaluations", "genes"):
-        if key not in doc:
-            fail(f"{json_path}: missing '{key}'")
-    for key in ("baseline_fitness", "sum_delta",
-                "whole_ablation_delta"):
-        if abs(doc[key] - annotations[key]) > TOLERANCE:
-            fail(f"{json_path}: {key} disagrees with the CSV")
-    if doc.get("filler", {}).get("instruction") != filler[0] or \
-            doc.get("filler", {}).get("strategy") != filler[1]:
-        fail(f"{json_path}: filler disagrees with the CSV")
-    genes = doc["genes"]
-    if len(genes) != len(rows):
-        fail(f"{json_path}: {len(genes)} genes vs {len(rows)} CSV rows")
-    for gene, row in zip(genes, rows):
-        if gene.get("instruction") != row["instruction"] or \
-                gene.get("class") != row["class"] or \
-                abs(gene.get("delta_fitness", math.nan) -
-                    row["delta_fitness"]) > TOLERANCE:
-            fail(f"{json_path}: gene {row['gene']} disagrees with the "
-                 f"CSV")
-    for key in ("classes", "operand_bins", "top_genes"):
-        if key not in doc or not isinstance(doc[key], list):
-            fail(f"{json_path}: missing aggregate list '{key}'")
     class_genes = sum(c.get("genes", 0) for c in doc["classes"])
-    if class_genes != len(rows):
-        fail(f"{json_path}: class aggregates cover {class_genes} genes "
-             f"of {len(rows)}")
+    if class_genes != len(genes):
+        fail(f"{path}: class aggregates cover {class_genes} genes of "
+             f"{len(genes)}")
 
 
 def validate_attribution_file(path):
-    annotations, filler, rows = parse_attribution_csv(path)
-    check_attribution_semantics(path, annotations, rows)
-    check_attribution_json_twin(path, annotations, filler, rows)
-    print(f"check_attribution: OK: {path}: {len(rows)} genes, "
-          f"filler {filler[0]} ({filler[1]}), sum_delta "
-          f"{annotations['sum_delta']}")
-    return annotations, rows
+    doc = load_attribution(path)
+    check_attribution_semantics(path, doc)
+    print(f"check_attribution: OK: {path}: {len(doc['genes'])} genes, "
+          f"filler {doc['filler']['instruction']} "
+          f"({doc['filler']['strategy']}), sum_delta {doc['sum_delta']}")
+    return doc
 
 
 # ---------------------------------------------------------------------
@@ -327,7 +256,7 @@ def validate_run_dir(run_dir):
     results = []
     if os.path.isdir(attribution_dir):
         for name in sorted(os.listdir(attribution_dir)):
-            if name.endswith(".csv"):
+            if name.endswith(".json"):
                 results.append(validate_attribution_file(
                     os.path.join(attribution_dir, name)))
     coverage_path = os.path.join(run_dir, "coverage.csv")
@@ -444,50 +373,37 @@ def drive(gest_binary):
             fail(f"manifest attribution kinds wrong: "
                  f"{attribution_kinds}")
 
-        result = subprocess.run([gest_binary, "verify", out, "--quiet"],
-                                cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest verify failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run_gest(gest_binary, ["verify", out, "--quiet"], work)
         print("check_attribution: OK: gest verify replayed the sealed "
               "run")
 
         # `gest attribute` after the fact must reproduce the sealed
         # attribution exactly (deterministic simulated measurement).
-        result = subprocess.run(
-            [gest_binary, "attribute", config, out, "--out",
-             os.path.join(work, "re_attr"), "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest attribute failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
-        re_csvs = [name
-                   for name in sorted(os.listdir(
-                       os.path.join(work, "re_attr")))
-                   if name.endswith(".csv")]
-        if len(re_csvs) != 1:
-            fail(f"expected one re-attribution CSV, found {re_csvs}")
-        re_annotations, re_rows = validate_attribution_file(
-            os.path.join(work, "re_attr", re_csvs[0]))
+        re_dir = os.path.join(work, "re_attr")
+        run_gest(gest_binary, ["attribute", config, out, "--out", re_dir,
+                               "--quiet"], work)
+        re_files = [name for name in sorted(os.listdir(re_dir))
+                    if name.endswith(".json")]
+        if len(re_files) != 1:
+            fail(f"expected one re-attribution JSON, found {re_files}")
+        redone = validate_attribution_file(
+            os.path.join(re_dir, re_files[0]))
 
-        sealed = {int(a["individual_id"]): (a, rows)
-                  for a, rows in results}
-        champion = int(re_annotations["individual_id"])
+        sealed = {doc["individual_id"]: doc for doc in results}
+        champion = redone["individual_id"]
         if champion not in sealed:
             fail(f"gest attribute picked individual {champion}, which "
                  f"the run never sealed ({sorted(sealed)})")
-        sealed_annotations, sealed_rows = sealed[champion]
         for key in ("baseline_fitness", "sum_delta",
                     "whole_ablation_delta"):
-            if abs(re_annotations[key] -
-                   sealed_annotations[key]) > TOLERANCE:
-                fail(f"re-attribution {key} "
-                     f"{re_annotations[key]!r} disagrees with the "
-                     f"sealed {sealed_annotations[key]!r}")
-        for sealed_row, re_row in zip(sealed_rows, re_rows):
-            if abs(sealed_row["delta_fitness"] -
-                   re_row["delta_fitness"]) > TOLERANCE:
-                fail(f"re-attribution gene {re_row['gene']} delta "
+            if abs(redone[key] - sealed[champion][key]) > TOLERANCE:
+                fail(f"re-attribution {key} {redone[key]!r} disagrees "
+                     f"with the sealed {sealed[champion][key]!r}")
+        for sealed_gene, re_gene in zip(sealed[champion]["genes"],
+                                        redone["genes"]):
+            if abs(sealed_gene["delta_fitness"] -
+                   re_gene["delta_fitness"]) > TOLERANCE:
+                fail(f"re-attribution gene {re_gene['gene']} delta "
                      f"disagrees with the sealed artifact")
         print("check_attribution: OK: gest attribute reproduced the "
               "sealed attribution bit-for-bit")

@@ -5,8 +5,7 @@ Standalone mode schema-checks a workspace's sealed index and every
 run's alerts ledger (docs/fleet.md):
 
   * registry.csv opens with `# gest-registry v1`, a column header, and
-    column-complete rows; registry.json is valid JSON with the same
-    run set;
+    column-complete rows;
   * every <run>/alerts.csv opens with `# gest-alerts v1` and carries
     well-typed rows (int generation, known severity, float
     value/threshold, comma-free message).
@@ -160,15 +159,6 @@ def validate_workspace(workspace):
     except OSError as err:
         fail(f"cannot read {csv_path} (run `gest runs {workspace}` "
              f"first): {err}")
-    json_path = os.path.join(workspace, "registry.json")
-    try:
-        with open(json_path, encoding="utf-8") as handle:
-            json_rows = validate_registry_json(handle.read(), json_path)
-    except OSError as err:
-        fail(f"cannot read {json_path}: {err}")
-    if len(csv_rows) != len(json_rows):
-        fail(f"registry twins disagree: {len(csv_rows)} CSV rows vs "
-             f"{len(json_rows)} JSON rows")
     alerts = 0
     for row in csv_rows:
         ledger = os.path.join(workspace, row[0], "alerts.csv")

@@ -12,9 +12,10 @@ endpoints"):
     consistent with _count);
   * /events is well-framed SSE: "event:"/"id:"/"data:" lines, blank-line
     separated, each data payload valid JSON with a generation number;
-  * counters scraped from /metrics reappear in the run's final
-    stats.txt with values >= the last scraped value (counters are
-    monotonic and the artifacts outlive the server);
+  * the run's sealed metrics.prom passes the same exposition checks,
+    and every counter scraped from /metrics reappears in it with a
+    value >= the last scraped value (counters are monotonic and the
+    artifact outlives the server);
   * every sink agrees at run end: the completed /status body equals
     the final status.json bytes, the last /history row matches the
     last history.csv row and /coverage matches the last coverage.csv
@@ -29,8 +30,8 @@ Usage:
   check_metrics.py --drive <gest-binary>  run a GA with --listen
                                           127.0.0.1:0 in a temp dir,
                                           scrape it while it runs, then
-                                          cross-check stats.txt and the
-                                          run directory; then a
+                                          cross-check metrics.prom and
+                                          the run directory; then a
                                           listen-only run
 
 Exit status 0 when everything validates; 1 with a message otherwise.
@@ -40,7 +41,6 @@ copied there for post-mortem.
 
 import json
 import os
-import re
 import socket
 import subprocess
 import sys
@@ -48,8 +48,8 @@ import tempfile
 import time
 
 import checklib
-from checklib import (ServerGone, SseReader, fail, get, get_json,
-                      wait_for_listen)
+from checklib import (ServerGone, SseReader, check_metrics_text, fail,
+                      get, get_json, wait_for_listen)
 
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
@@ -92,11 +92,6 @@ HISTORY_KEYS = (
     "diversity", "cache_hits", "cache_misses", "evaluation_ms",
 )
 
-SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$")
-
-
-
 
 def check_status(doc, require_listen):
     if not isinstance(doc, dict):
@@ -133,60 +128,6 @@ def check_champion(doc, expect_present):
             fail(f"/champion lacks key '{key}': {sorted(doc)}")
     if not isinstance(doc["code"], list) or not doc["code"]:
         fail("/champion 'code' is empty — champions always have a body")
-
-
-def check_metrics_text(text):
-    """Validate Prometheus exposition; return {counter_name: value}."""
-    typed = {}
-    counters = {}
-    histograms = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split(" ")
-            if len(parts) != 4 or parts[3] not in (
-                    "counter", "gauge", "histogram"):
-                fail(f"/metrics line {lineno}: bad TYPE comment: {line}")
-            typed[parts[2]] = parts[3]
-            continue
-        if line.startswith("#"):
-            fail(f"/metrics line {lineno}: unexpected comment: {line}")
-        match = SAMPLE_RE.match(line)
-        if not match:
-            fail(f"/metrics line {lineno}: not a valid sample: {line!r}")
-        name, labels, value = match.groups()
-        base = re.sub(r"_(bucket|sum|count)$", "", name)
-        if name not in typed and base not in typed:
-            fail(f"/metrics line {lineno}: sample '{name}' has no "
-                 "preceding # TYPE")
-        kind = typed.get(name, typed.get(base))
-        if kind == "counter":
-            counters[name] = float(value)
-        elif kind == "histogram" and name.endswith("_bucket"):
-            le = re.search(r'le="([^"]+)"', labels or "")
-            if not le:
-                fail(f"/metrics line {lineno}: bucket without le label")
-            histograms.setdefault(base, []).append(
-                (le.group(1), float(value)))
-        elif kind == "histogram" and name.endswith("_count"):
-            histograms.setdefault(base, []).append(
-                ("__count__", float(value)))
-    for base, rows in histograms.items():
-        buckets = [v for le, v in rows if le != "__count__"]
-        counts = [v for le, v in rows if le == "__count__"]
-        if any(b > a for a, b in zip(buckets[1:], buckets)):
-            fail(f"/metrics histogram {base}: buckets not cumulative: "
-                 f"{buckets}")
-        if not buckets or not counts or buckets[-1] != counts[0]:
-            fail(f"/metrics histogram {base}: le=+Inf bucket "
-                 f"{buckets[-1] if buckets else None} != _count "
-                 f"{counts[0] if counts else None}")
-    if not counters:
-        fail("/metrics exposes no counters at all")
-    return counters
 
 
 def check_sse(raw):
@@ -256,40 +197,24 @@ def validate_endpoints(base, require_listen):
     return rows, counters
 
 
-def stats_txt_counters(path):
-    """Parse stats.txt into {prometheus_counter_name: value}."""
-    out = {}
+def cross_check(scraped, prom_path):
+    """Scraped counters must reappear in the sealed metrics.prom, never
+    smaller."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(prom_path, encoding="utf-8") as handle:
+            final = check_metrics_text(handle.read(), prom_path)
     except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    for line in lines:
-        parts = line.split()
-        if len(parts) < 2 or line.startswith("-") or "::" in parts[0]:
-            continue
-        try:
-            value = float(parts[1])
-        except ValueError:
-            continue
-        mangled = "gest_" + re.sub(r"[^a-zA-Z0-9]", "_", parts[0])
-        out[mangled + "_total"] = value
-    return out
-
-
-def cross_check(scraped, stats_path):
-    """Scraped counters must reappear in stats.txt, never smaller."""
-    final = stats_txt_counters(stats_path)
+        fail(f"cannot read {prom_path}: {err}")
     for name, value in scraped.items():
         if name not in final:
             fail(f"counter {name} was scraped from /metrics but has no "
-                 f"counterpart in {stats_path}")
+                 f"counterpart in {prom_path}")
         if final[name] < value:
-            fail(f"counter {name}: final stats.txt value {final[name]} "
+            fail(f"counter {name}: final metrics.prom value {final[name]} "
                  f"< last scraped value {value} (counters are "
                  "monotonic; the artifacts must agree with the scrape)")
     print(f"check_metrics: OK: {len(scraped)} scraped counters "
-          f"cross-checked against stats.txt")
+          f"cross-checked against metrics.prom")
 
 
 def last_csv_row(path):
@@ -419,7 +344,7 @@ def drive_run_dir(gest_binary, work):
             fail("SSE stream carried no generation events")
 
         run_dir = os.path.join(work, "out")
-        cross_check(scraped, os.path.join(run_dir, "stats.txt"))
+        cross_check(scraped, os.path.join(run_dir, "metrics.prom"))
         check_sinks_agree(final, run_dir)
         print(f"check_metrics: OK: {passes} scrape passes, "
               f"{events} SSE generation events, run exit 0")

@@ -23,19 +23,18 @@ Usage:
   check_trace.py <trace.json>            validate an existing trace
   check_trace.py --drive <gest-binary>   run a tiny GA with --trace in a
                                          temp dir, then validate the
-                                         trace and metrics.json it wrote
+                                         trace and metrics.prom it wrote
 
 Exit status 0 when the trace is valid; 1 with a message otherwise.
 """
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
 import checklib
-from checklib import fail
+from checklib import check_metrics_text, fail, run_gest
 
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
@@ -50,8 +49,6 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
   <output directory="out"/>
 </gest_configuration>
 """
-
-
 
 
 def check_common(event, index, phase):
@@ -161,29 +158,20 @@ def drive(gest_binary):
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
-        result = subprocess.run(
-            [gest_binary, "run", config, "--trace", "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest run failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run_gest(gest_binary, ["run", config, "--trace", "--quiet"], work)
         out = os.path.join(work, "out")
         validate(os.path.join(out, "trace.json"))
-        metrics = os.path.join(out, "metrics.json")
+        metrics = os.path.join(out, "metrics.prom")
         try:
             with open(metrics, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
-            fail(f"metrics.json invalid: {err}")
-        for section in ("counters", "gauges", "histograms"):
-            if section not in doc:
-                fail(f"metrics.json lacks '{section}'")
-        if doc["counters"].get("engine.generations") != 3:
-            fail("metrics.json engine.generations != 3: "
-                 f"{doc['counters'].get('engine.generations')!r}")
-        print(f"check_trace: OK: metrics.json has "
-              f"{len(doc['counters'])} counters, "
-              f"{len(doc['histograms'])} histograms")
+                counters = check_metrics_text(handle.read(), metrics)
+        except OSError as err:
+            fail(f"cannot read {metrics}: {err}")
+        generations = counters.get("gest_engine_generations_total")
+        if generations != 3:
+            fail(f"metrics.prom engine.generations != 3: {generations!r}")
+        print(f"check_trace: OK: metrics.prom has {len(counters)} "
+              "counters")
         checklib.keep_scratch(None)
 
 

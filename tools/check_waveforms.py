@@ -13,8 +13,6 @@ Checks the `# gest-waveforms v1` CSV format (flight-recorder captures in
     pdn_voltage_v samples match to 1e-9 (when no samples were dropped),
     the voltage stays below the supply, the thermal transient stays
     inside its endpoints, interval IPC is non-negative and bounded;
-  * the JSON twin (<base>.json) carries the same annotations, signals
-    and sample data;
   * the spectrum companion (<base>_spectrum.csv), when present, scans
     ascending frequencies with non-negative amplitudes;
   * a directory's index.csv references existing files with fitness
@@ -35,15 +33,13 @@ directory there before exiting on failure, so CI can upload it.
 Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 """
 
-import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 
 import checklib
-from checklib import fail
+from checklib import fail, run_gest
 
 TOLERANCE = 1e-9
 
@@ -59,9 +55,6 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
   <output directory="out" waveforms="2" stats="false"/>
 </gest_configuration>
 """
-
-
-
 
 
 def parse_csv(path):
@@ -213,31 +206,6 @@ def check_physics(path, annotations, signals, marks):
             fail(f"{path}: mark {kind} has negative index/time")
 
 
-def check_json_twin(csv_path, annotations, signals, marks):
-    json_path = os.path.splitext(csv_path)[0] + ".json"
-    if not os.path.exists(json_path):
-        fail(f"{csv_path} has no JSON twin {json_path}")
-    try:
-        with open(json_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        fail(f"{json_path} invalid: {err}")
-    if doc.get("version") != 1:
-        fail(f"{json_path}: version != 1")
-    if doc.get("annotations") != annotations:
-        fail(f"{json_path}: annotations disagree with the CSV")
-    json_signals = {s["name"]: s for s in doc.get("signals", [])}
-    if set(json_signals) != set(signals):
-        fail(f"{json_path}: signal set disagrees with the CSV: "
-             f"{sorted(json_signals)} vs {sorted(signals)}")
-    for name, sig in signals.items():
-        if json_signals[name]["samples"] != sig["samples"]:
-            fail(f"{json_path}: signal '{name}' samples disagree with "
-                 f"the CSV")
-    if len(doc.get("marks", [])) != len(marks):
-        fail(f"{json_path}: mark count disagrees with the CSV")
-
-
 def check_spectrum(csv_path):
     spectrum_path = os.path.splitext(csv_path)[0] + "_spectrum.csv"
     if not os.path.exists(spectrum_path):
@@ -267,7 +235,6 @@ def validate_file(path):
     if not signals:
         fail(f"{path} declares no signals")
     check_physics(path, annotations, signals, marks)
-    check_json_twin(path, annotations, signals, marks)
     check_spectrum(path)
     total = sum(len(s["samples"]) for s in signals.values())
     print(f"check_waveforms: OK: {path}: {len(signals)} signals, "
@@ -282,19 +249,19 @@ def validate_index(directory):
         fail(f"{directory} has no index.csv")
     with open(index_path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    if not lines or lines[0] != "# gest-waveform-index v1":
+    if not lines or lines[0] != "# gest-waveform-index v2":
         fail(f"{index_path} lacks the index version header")
     if len(lines) < 2 or lines[1] != \
-            "rank,id,generation,fitness,csv,json,spectrum":
+            "rank,id,generation,fitness,csv,spectrum":
         fail(f"{index_path} lacks the column header")
     rows = []
     for lineno, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
-        if len(parts) != 7:
-            fail(f"{index_path}:{lineno}: expected 7 columns: {line}")
+        if len(parts) != 6:
+            fail(f"{index_path}:{lineno}: expected 6 columns: {line}")
         rank, _, _, fitness = (int(parts[0]), parts[1], parts[2],
                                float(parts[3]))
-        for ref in (parts[4], parts[5], parts[6]):
+        for ref in (parts[4], parts[5]):
             if ref and not os.path.exists(os.path.join(directory, ref)):
                 fail(f"{index_path}:{lineno}: referenced file {ref} "
                      f"does not exist")
@@ -334,21 +301,11 @@ def drive(gest_binary):
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
-        result = subprocess.run(
-            [gest_binary, "run", config, "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest run failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run_gest(gest_binary, ["run", config, "--quiet"], work)
         out = os.path.join(work, "out")
         rows = validate_dir(os.path.join(out, "waveforms"))
 
-        result = subprocess.run(
-            [gest_binary, "probe", config, out, "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest probe failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run_gest(gest_binary, ["probe", config, out, "--quiet"], work)
         probe_dir = os.path.join(out, "probe")
         probe_csvs = [name for name in sorted(os.listdir(probe_dir))
                       if name.endswith(".csv") and

@@ -9,7 +9,9 @@ tools/lineage_to_dot.py).
   * wait_for_listen() reads a running gest's bound server address from
     its status.json heartbeat;
   * SseReader drains the /events stream over a raw socket;
-  * run_gest() runs the gest binary and fails on an unexpected exit.
+  * run_gest() runs the gest binary and fails on an unexpected exit;
+  * check_metrics_text() validates a Prometheus text exposition — the
+    live /metrics body and the sealed metrics.prom alike.
 
 The validators run as scripts, so their directory — this one — is on
 sys.path and `import checklib` resolves here.
@@ -17,6 +19,7 @@ sys.path and `import checklib` resolves here.
 
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -167,3 +170,64 @@ def run_gest(gest, args, cwd, what="", expect=0):
              f"{done.returncode}, expected {expect}:\n"
              f"{done.stdout}{done.stderr}")
     return done
+
+
+SAMPLE_RE = re.compile(
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$")
+
+
+def check_metrics_text(text, where="/metrics"):
+    """Validate Prometheus text exposition (HELP/TYPE comments, one
+    sample per line, histogram buckets cumulative and consistent with
+    _count); fail() naming @p where otherwise. @return {counter: value}.
+    """
+    typed = {}
+    counters = {}
+    histograms = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        if line.startswith("# HELP "):
+            continue
+        if line.startswith("# TYPE "):
+            parts = line.split(" ")
+            if len(parts) != 4 or parts[3] not in (
+                    "counter", "gauge", "histogram"):
+                fail(f"{where} line {lineno}: bad TYPE comment: {line}")
+            typed[parts[2]] = parts[3]
+            continue
+        if line.startswith("#"):
+            fail(f"{where} line {lineno}: unexpected comment: {line}")
+        match = SAMPLE_RE.match(line)
+        if not match:
+            fail(f"{where} line {lineno}: not a valid sample: {line!r}")
+        name, labels, value = match.groups()
+        base = re.sub(r"_(bucket|sum|count)$", "", name)
+        if name not in typed and base not in typed:
+            fail(f"{where} line {lineno}: sample '{name}' has no "
+                 "preceding # TYPE")
+        kind = typed.get(name, typed.get(base))
+        if kind == "counter":
+            counters[name] = float(value)
+        elif kind == "histogram" and name.endswith("_bucket"):
+            le = re.search(r'le="([^"]+)"', labels or "")
+            if not le:
+                fail(f"{where} line {lineno}: bucket without le label")
+            histograms.setdefault(base, []).append(
+                (le.group(1), float(value)))
+        elif kind == "histogram" and name.endswith("_count"):
+            histograms.setdefault(base, []).append(
+                ("__count__", float(value)))
+    for base, rows in histograms.items():
+        buckets = [v for le, v in rows if le != "__count__"]
+        counts = [v for le, v in rows if le == "__count__"]
+        if any(b > a for a, b in zip(buckets[1:], buckets)):
+            fail(f"{where} histogram {base}: buckets not cumulative: "
+                 f"{buckets}")
+        if not buckets or not counts or buckets[-1] != counts[0]:
+            fail(f"{where} histogram {base}: le=+Inf bucket "
+                 f"{buckets[-1] if buckets else None} != _count "
+                 f"{counts[0] if counts else None}")
+    if not counters:
+        fail(f"{where} exposes no counters at all")
+    return counters
