@@ -215,7 +215,7 @@ BM_StatsHistogramEnabled(benchmark::State& state)
 {
     stats::setEnabled(true);
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "bench.hist", "benchmark histogram", 0.0, 1000.0, 40);
+        "bench.hist", "benchmark histogram");
     double v = 0.0;
     for (auto _ : state) {
         hist.sample(v);
@@ -232,7 +232,7 @@ BM_ScopedTimerDisabled(benchmark::State& state)
 {
     stats::setEnabled(false);
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "bench.timer", "benchmark timer", 0.0, 1000.0, 40);
+        "bench.timer", "benchmark timer");
     for (auto _ : state) {
         stats::ScopedTimer timer(&hist);
         benchmark::DoNotOptimize(&timer);
@@ -245,7 +245,7 @@ BM_ScopedTimerEnabled(benchmark::State& state)
 {
     stats::setEnabled(true);
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "bench.timer", "benchmark timer", 0.0, 1000.0, 40);
+        "bench.timer", "benchmark timer");
     for (auto _ : state) {
         stats::ScopedTimer timer(&hist);
         benchmark::DoNotOptimize(&timer);

@@ -29,6 +29,7 @@ formatStatusJson(const StatusSnapshot& snapshot)
         "  \"elapsed_seconds\": %.3f,\n"
         "  \"eta_seconds\": %.3f,\n"
         "  \"steady_hits\": %llu,\n"
+        "  \"sim_evaluations\": %llu,\n"
         "  \"cycles_simulated\": %llu,\n"
         "  \"cycles_tiled\": %llu,\n",
         snapshot.running ? "running" : "completed", snapshot.generation,
@@ -39,6 +40,7 @@ formatStatusJson(const StatusSnapshot& snapshot)
         snapshot.cacheHitRate, snapshot.evalsPerSec,
         snapshot.elapsedSeconds, snapshot.etaSeconds,
         static_cast<unsigned long long>(snapshot.steadyHits),
+        static_cast<unsigned long long>(snapshot.simEvaluations),
         static_cast<unsigned long long>(snapshot.cyclesSimulated),
         static_cast<unsigned long long>(snapshot.cyclesTiled));
     std::string payload = buf;
@@ -78,6 +80,8 @@ fillSteadyCounters(StatusSnapshot& snapshot)
          stats::StatsRegistry::instance().counterList()) {
         if (counter->name() == "eval.steady_hits")
             snapshot.steadyHits = counter->value();
+        else if (counter->name() == "measure.sim.evaluations")
+            snapshot.simEvaluations = counter->value();
         else if (counter->name() == "eval.cycles_simulated")
             snapshot.cyclesSimulated = counter->value();
         else if (counter->name() == "eval.cycles_tiled")

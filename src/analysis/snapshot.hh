@@ -45,8 +45,12 @@ struct StatusSnapshot
     double elapsedSeconds = 0.0;
     double etaSeconds = 0.0;
 
-    /** Steady-state fast-path counters (eval.*; 0 with stats off). */
+    /**
+     * Steady-state fast-path counters (eval.* and their denominator,
+     * measure.sim.evaluations; 0 with stats off).
+     */
     std::uint64_t steadyHits = 0;
+    std::uint64_t simEvaluations = 0;
     std::uint64_t cyclesSimulated = 0;
     std::uint64_t cyclesTiled = 0;
 
@@ -79,9 +83,10 @@ std::string formatStatusJson(const StatusSnapshot& snapshot);
 
 /**
  * Copy the steady-state fast-path counters (eval.steady_hits,
- * eval.cycles_simulated, eval.cycles_tiled) out of the stats registry
- * into @p snapshot, so external monitors see fast-path behavior from
- * the heartbeat alone. Zeros when stats recording is off.
+ * measure.sim.evaluations, eval.cycles_simulated, eval.cycles_tiled)
+ * out of the stats registry into @p snapshot, so external monitors see
+ * fast-path behavior from the heartbeat alone. Zeros when stats
+ * recording is off.
  */
 void fillSteadyCounters(StatusSnapshot& snapshot);
 

@@ -45,27 +45,20 @@ engineStats()
         stats::StatsRegistry::instance().counter(
             "engine.cache.misses", "evaluations that ran the measurement"),
         stats::StatsRegistry::instance().histogram(
-            "engine.eval_us", "one measurement + fitness scoring (us)",
-            0.0, 20000.0, 40),
+            "engine.eval_us", "one measurement + fitness scoring (us)"),
         stats::StatsRegistry::instance().histogram(
-            "engine.cache.hit_us", "fitness-cache hit latency (us)", 0.0,
-            50.0, 25),
+            "engine.cache.hit_us", "fitness-cache hit latency (us)"),
         stats::StatsRegistry::instance().histogram(
-            "engine.cache.miss_us", "fitness-cache miss latency (us)",
-            0.0, 50.0, 25),
+            "engine.cache.miss_us", "fitness-cache miss latency (us)"),
         stats::StatsRegistry::instance().histogram(
-            "engine.selection_us", "parent selection per generation (us)",
-            0.0, 20000.0, 40),
+            "engine.selection_us", "parent selection per generation (us)"),
         stats::StatsRegistry::instance().histogram(
-            "engine.crossover_us", "crossover per generation (us)", 0.0,
-            20000.0, 40),
+            "engine.crossover_us", "crossover per generation (us)"),
         stats::StatsRegistry::instance().histogram(
-            "engine.mutation_us", "mutation per generation (us)", 0.0,
-            20000.0, 40),
+            "engine.mutation_us", "mutation per generation (us)"),
         stats::StatsRegistry::instance().histogram(
             "engine.generation_eval_us",
-            "whole-population evaluation per generation (us)", 0.0,
-            2000000.0, 40),
+            "whole-population evaluation per generation (us)"),
     };
     return s;
 }

@@ -88,8 +88,7 @@ SimMeasurementBase::evaluate(
                 "measure.sim.cycles", "simulated cycles");
         static stats::Histogram& ipc =
             stats::StatsRegistry::instance().histogram(
-                "measure.sim.ipc", "IPC of measured individuals", 0.0,
-                8.0, 32);
+                "measure.sim.ipc", "IPC of measured individuals");
         static stats::Counter& steady_hits =
             stats::StatsRegistry::instance().counter(
                 "eval.steady_hits",

@@ -110,8 +110,7 @@ RunWriter::writeGeneration(const core::Population& pop,
 {
     static stats::Histogram& ioUs =
         stats::StatsRegistry::instance().histogram(
-            "output.io_us", "run-directory writes per generation (us)",
-            0.0, 100000.0, 40);
+            "output.io_us", "run-directory writes per generation (us)");
     const bool record_io = stats::enabled() || _trace;
     const double start = record_io ? stats::nowUs() : 0.0;
     writePopulation(pop);

@@ -8,7 +8,6 @@
 
 #include "analysis/health.hh"
 #include "net/http_client.hh"
-#include "output/report.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
@@ -49,12 +48,13 @@ applyStatus(const json::Value& status, TopSnapshot& out)
     out.etaSeconds = status.numberOr("eta_seconds", 0.0);
     out.steadyHits = static_cast<std::uint64_t>(
         status.numberOr("steady_hits", 0.0));
+    out.simEvaluations = static_cast<std::uint64_t>(
+        status.numberOr("sim_evaluations", 0.0));
     out.cyclesSimulated = static_cast<std::uint64_t>(
         status.numberOr("cycles_simulated", 0.0));
     out.cyclesTiled = static_cast<std::uint64_t>(
         status.numberOr("cycles_tiled", 0.0));
-    // Negative sentinels survive analytics-off status.json (the
-    // telemetry fallback composer writes -1) and missing keys alike.
+    // Negative sentinels survive missing keys.
     out.geneEntropyBits = status.numberOr("gene_entropy_bits", -1.0);
     out.pairwiseDiversity =
         status.numberOr("pairwise_diversity", -1.0);
@@ -230,9 +230,6 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
         out.mutationMs = stats::exposedValue(
                              m, "gest_engine_mutation_us_sum", 0.0) /
                          1e3;
-        out.simEvaluations =
-            static_cast<std::uint64_t>(stats::exposedValue(
-                m, "gest_measure_sim_evaluations_total", 0.0));
         out.workerBusyFrac =
             workerBusyFromMetrics(m, out.elapsedSeconds);
     }
@@ -269,65 +266,6 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
             }
         }
     }
-    return true;
-}
-
-bool
-loadTopSnapshot(const std::string& run_dir, TopSnapshot& out)
-{
-    out = TopSnapshot();
-    out.live = false;
-    out.source = run_dir;
-
-    // history.csv is the ground truth a run always writes; status.json
-    // (analytics on) refines it with rates and the live state.
-    try {
-        const RunReport report = analyzeRun(run_dir);
-        for (const HistoryRow& row : report.rows)
-            out.bestTrajectory.push_back(row.bestFitness);
-        if (!report.rows.empty()) {
-            const HistoryRow& last = report.rows.back();
-            out.generation = last.generation;
-            out.bestFitness = report.bestFitness;
-            out.averageFitness = last.averageFitness;
-            out.diversity = last.diversity;
-        }
-        out.evaluations = report.totalMeasured;
-        out.cacheHitRate = report.cacheHitRate();
-        out.evalsPerSec = report.evaluationsPerSecond();
-        out.selectionMs = report.selectionMs;
-        out.crossoverMs = report.crossoverMs;
-        out.mutationMs = report.mutationMs;
-        out.evaluationMs = report.evaluationMs;
-        out.steadyHits = report.steadyHits;
-        out.cyclesSimulated = report.cyclesSimulated;
-        out.cyclesTiled = report.cyclesTiled;
-        out.simEvaluations = report.simEvaluations;
-    } catch (const FatalError& err) {
-        // A run directory that exists but holds no history.csv yet is
-        // a run still evaluating its first generation, not an error:
-        // `gest top` may be pointed at the directory before (or right
-        // after) the run starts, so render a waiting frame and let the
-        // next refresh fill in.
-        if (dirExists(run_dir) &&
-            !fileExists(run_dir + "/history.csv")) {
-            out.state = "waiting for first generation";
-            return true;
-        }
-        out.error = err.what();
-        return false;
-    }
-
-    std::string status_text;
-    if (tryReadFile(run_dir + "/status.json", status_text)) {
-        json::Value status;
-        if (json::parse(status_text, status, nullptr))
-            applyStatus(status, out);
-    } else {
-        out.state = "unknown (no status.json; analytics off?)";
-    }
-    loadCoverageCsv(run_dir, out);
-    loadAlertsCsv(run_dir, out);
     return true;
 }
 
@@ -471,13 +409,10 @@ TopFilePoller::poll(TopSnapshot& out)
     out.evaluationMs = _evaluationMs;
 
     std::string status_text;
-    if (tryReadFile(_runDir + "/status.json", status_text)) {
-        json::Value status;
-        if (json::parse(status_text, status, nullptr))
-            applyStatus(status, out);
-    } else {
-        out.state = "unknown (no status.json; analytics off?)";
-    }
+    json::Value status;
+    if (tryReadFile(_runDir + "/status.json", status_text) &&
+        json::parse(status_text, status, nullptr))
+        applyStatus(status, out);
     loadCoverageCsv(_runDir, out);
     loadAlertsCsv(_runDir, out);
     return true;

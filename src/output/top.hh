@@ -35,8 +35,8 @@ struct TopSnapshot
     double averageFitness = 0.0;
     double diversity = 0.0;
 
-    // Population analytics (negative: analytics off → rendered "n/a",
-    // never a misleading 0).
+    // Population analytics (negative: absent from the status →
+    // rendered "n/a", never a misleading 0).
     double geneEntropyBits = -1.0;
     double pairwiseDiversity = -1.0;
 
@@ -99,17 +99,10 @@ struct TopSnapshot
 bool fetchTopSnapshot(const std::string& url, TopSnapshot& out);
 
 /**
- * Build the same snapshot from @p run_dir's files (status.json +
- * history.csv), for runs without --listen. @return false with
- * snapshot.error set when the directory holds no readable run.
- */
-bool loadTopSnapshot(const std::string& run_dir, TopSnapshot& out);
-
-/**
  * The incremental file poller behind `gest top <run_dir>`'s refresh
- * loop. loadTopSnapshot() re-reads and re-parses the whole history.csv
- * every call — O(run length) per refresh, quadratic over a run's
- * lifetime. The poller remembers its byte offset into history.csv and
+ * loop: builds the same snapshot from the run directory's files
+ * (history.csv, status.json, coverage.csv, alerts.csv), for runs
+ * without --listen. It remembers its byte offset into history.csv and
  * parses only the bytes appended since the last poll (a partial
  * trailing line is carried until its newline arrives; a file that
  * shrank — truncated or replaced — resets the parse from offset 0), so
@@ -123,10 +116,10 @@ class TopFilePoller
     explicit TopFilePoller(std::string run_dir);
 
     /**
-     * Refresh @p out from the run directory. Same contract as
-     * loadTopSnapshot, except malformed history rows are skipped
-     * instead of failing the snapshot (the poller may observe a live
-     * file mid-write).
+     * Refresh @p out from the run directory. @return false with
+     * snapshot.error set when the directory does not exist; malformed
+     * history rows are skipped (the poller may observe a live file
+     * mid-write).
      */
     bool poll(TopSnapshot& out);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -114,18 +115,33 @@ appendHeader(std::string& out, const std::string& metric,
 
 } // namespace
 
-Histogram::Histogram(std::string name, std::string desc, double lo,
-                     double hi, std::size_t buckets)
-    : _name(std::move(name)), _desc(std::move(desc)), _lo(lo), _hi(hi),
-      _width((hi - lo) / static_cast<double>(buckets == 0 ? 1 : buckets)),
-      _buckets(buckets == 0 ? 1 : buckets)
+std::size_t
+Histogram::bucketIndex(double v)
 {
-    // Infinity sentinels make the extremum CAS loops initialization
-    // free; minSeen()/maxSeen() report 0 while the count is 0.
-    _min.store(std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
-    _max.store(-std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
+    if (!(v >= std::ldexp(1.0, kMinExp)))
+        return 0;  // below the range, or NaN
+    if (v >= std::ldexp(1.0, kMaxExp))
+        return kBuckets - 1;
+    // v = m * 2^exp with m in [0.5, 1): exp picks the octave, the
+    // leading bits of m the sub-bucket.
+    int exp = 0;
+    const double m = std::frexp(v, &exp);
+    const int octave = exp - 1 - kMinExp;
+    const int sub = static_cast<int>(m * 2 * kSubBuckets) - kSubBuckets;
+    return static_cast<std::size_t>(1 + octave * kSubBuckets + sub);
+}
+
+double
+Histogram::edge(std::size_t i)
+{
+    if (i == 0)
+        return -std::numeric_limits<double>::infinity();
+    if (i >= kBuckets)
+        return std::numeric_limits<double>::infinity();
+    const std::size_t k = i - 1;
+    return std::ldexp(1.0 + static_cast<double>(k % kSubBuckets) /
+                                kSubBuckets,
+                      kMinExp + static_cast<int>(k / kSubBuckets));
 }
 
 void
@@ -133,15 +149,7 @@ Histogram::sample(double v)
 {
     if (!enabled())
         return;
-    if (v < _lo) {
-        _underflow.fetch_add(1, std::memory_order_relaxed);
-    } else if (v >= _hi) {
-        _overflow.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        const auto index = static_cast<std::size_t>((v - _lo) / _width);
-        _buckets[std::min(index, _buckets.size() - 1)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
+    _buckets[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     _count.fetch_add(1, std::memory_order_relaxed);
     _sum.fetch_add(v, std::memory_order_relaxed);
     updateExtremum(_min, v, std::less<double>());
@@ -168,24 +176,21 @@ Histogram::quantile(double q) const
         return 0.0;
     q = std::min(std::max(q, 0.0), 1.0);
     const double rank = q * static_cast<double>(n);
-    double cumulative =
-        static_cast<double>(_underflow.load(std::memory_order_relaxed));
-    double result;
-    if (rank <= cumulative) {
-        // The requested mass sits below the tracked range.
-        result = minSeen();
-    } else {
-        result = maxSeen();  // falls through when mass is in overflow
-        for (std::size_t i = 0; i < _buckets.size(); ++i) {
-            const double in_bucket = static_cast<double>(
-                _buckets[i].load(std::memory_order_relaxed));
-            if (in_bucket > 0.0 && rank <= cumulative + in_bucket) {
-                result = bucketLo(i) +
-                         _width * (rank - cumulative) / in_bucket;
-                break;
-            }
-            cumulative += in_bucket;
+    double result = maxSeen();
+    double cumulative = 0.0;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+        const double in_bucket = static_cast<double>(
+            _buckets[i].load(std::memory_order_relaxed));
+        if (in_bucket > 0.0 && rank <= cumulative + in_bucket) {
+            // Interpolate over the part of the bucket samples occupy;
+            // this also bounds the open-ended first and last buckets.
+            const double lo = std::max(edge(i), minSeen());
+            const double hi = std::min(edge(i + 1), maxSeen());
+            result = std::min(
+                hi, lo + (hi - lo) * (rank - cumulative) / in_bucket);
+            break;
         }
+        cumulative += in_bucket;
     }
     // Concurrent sampling can leave count/buckets momentarily out of
     // step; the observed extremes are always a sane envelope.
@@ -197,8 +202,6 @@ Histogram::reset()
 {
     for (std::atomic<std::uint64_t>& bucket : _buckets)
         bucket.store(0, std::memory_order_relaxed);
-    _underflow.store(0, std::memory_order_relaxed);
-    _overflow.store(0, std::memory_order_relaxed);
     _count.store(0, std::memory_order_relaxed);
     _sum.store(0.0, std::memory_order_relaxed);
     _min.store(std::numeric_limits<double>::infinity(),
@@ -239,15 +242,14 @@ StatsRegistry::gauge(const std::string& name, const std::string& desc)
 }
 
 Histogram&
-StatsRegistry::histogram(const std::string& name, const std::string& desc,
-                         double lo, double hi, std::size_t buckets)
+StatsRegistry::histogram(const std::string& name, const std::string& desc)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     for (const std::unique_ptr<Histogram>& h : _histograms) {
         if (h->name() == name)
             return *h;
     }
-    _histograms.emplace_back(new Histogram(name, desc, lo, hi, buckets));
+    _histograms.emplace_back(new Histogram(name, desc));
     return *_histograms.back();
 }
 
@@ -345,18 +347,18 @@ renderPrometheusMetrics()
     for (const Histogram* h : registry.histogramList()) {
         const std::string metric = prometheusName(h->name());
         appendHeader(out, metric, h->desc(), "histogram");
-        // Cumulative le buckets; the underflow bucket folds into the
-        // first edge, the overflow bucket only into +Inf. +Inf and
-        // _count come from the same running sum, so a sample landing
-        // mid-render cannot make them disagree.
-        std::uint64_t cumulative = h->underflow();
-        for (std::size_t i = 0; i < h->numBuckets(); ++i) {
-            cumulative += h->bucketCount(i);
-            out += metric + "_bucket{le=\"" +
-                   prometheusDouble(h->bucketLo(i + 1)) + "\"} " +
-                   std::to_string(cumulative) + "\n";
+        // One cumulative le line per occupied bucket at its upper edge
+        // (the last bucket's is +Inf). +Inf and _count share one
+        // running sum, so a sample landing mid-render cannot split them.
+        std::uint64_t cumulative = 0;
+        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+            const std::uint64_t in_bucket = h->bucketCount(i);
+            cumulative += in_bucket;
+            if (in_bucket > 0 && i + 1 < Histogram::kBuckets)
+                out += metric + "_bucket{le=\"" +
+                       prometheusDouble(Histogram::edge(i + 1)) + "\"} " +
+                       std::to_string(cumulative) + "\n";
         }
-        cumulative += h->overflow();
         const std::string total = std::to_string(cumulative);
         out += metric + "_bucket{le=\"+Inf\"} " + total + "\n";
         out += metric + "_sum " + prometheusDouble(h->sum()) + "\n";

@@ -1,7 +1,7 @@
 /**
  * @file
  * Run-wide statistics in the gem5 idiom: a process-wide registry of
- * named counters, gauges and fixed-bucket histograms, plus a scoped
+ * named counters, gauges and log-linear histograms, plus a scoped
  * timer that feeds histograms.
  *
  * Design constraints, in order:
@@ -27,8 +27,10 @@
 #ifndef GEST_STATS_STATS_HH
 #define GEST_STATS_STATS_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -139,13 +141,32 @@ class Gauge
 };
 
 /**
- * A fixed-bucket linear histogram over [lo, hi) with underflow and
- * overflow buckets, tracking count, sum, min and max. All updates are
- * relaxed atomics; sample() is safe from any thread.
+ * A histogram over one log-linear layout shared by every instance:
+ * kSubBuckets equal buckets per power of two over [2^kMinExp,
+ * 2^kMaxExp), each at most 1/kSubBuckets of its lower edge wide, plus
+ * one bucket below that range (zero, negatives) and one above. Edges
+ * have four significant bits, so they print and parse back exactly.
+ * Tracks count, sum, min and max in relaxed atomics; sample() is safe
+ * from any thread.
  */
 class Histogram
 {
   public:
+    static constexpr int kSubBuckets = 8;
+    static constexpr int kMinExp = -10;
+    static constexpr int kMaxExp = 40;
+    static constexpr std::size_t kBuckets =
+        (kMaxExp - kMinExp) * kSubBuckets + 2;
+
+    /** The bucket @p v falls in. */
+    static std::size_t bucketIndex(double v);
+
+    /**
+     * Inclusive lower edge of bucket @p i, exclusive upper edge of
+     * bucket i - 1; edge(0) is -inf and edge(kBuckets) is +inf.
+     */
+    static double edge(std::size_t i);
+
     /** Record @p v when stats are enabled. */
     void sample(double v);
 
@@ -165,37 +186,19 @@ class Histogram
 
     /**
      * Quantile @p q in [0, 1] estimated from the bucket counts by
-     * linear interpolation within the covering bucket, clamped to the
-     * observed [minSeen, maxSeen] range (mass in the underflow or
-     * overflow bucket resolves to those extremes); 0 when empty. This
-     * is the implementation behind the `_quantile` series of the
-     * Prometheus exposition.
+     * linear interpolation within the covering bucket, narrowed to the
+     * observed [minSeen, maxSeen] range; 0 when empty. It shares a
+     * bucket with the exact order statistic, so inside the layout's
+     * range the two differ by at most 1/kSubBuckets relative. Behind
+     * the exposition's `_quantile` series.
      */
     double quantile(double q) const;
 
-    /** Number of regular buckets (underflow/overflow not included). */
-    std::size_t numBuckets() const { return _buckets.size(); }
-
-    /** Count in regular bucket @p i. */
+    /** Count in bucket @p i. */
     std::uint64_t
     bucketCount(std::size_t i) const
     {
         return _buckets[i].load(std::memory_order_relaxed);
-    }
-
-    /** Inclusive lower edge of bucket @p i. */
-    double bucketLo(std::size_t i) const { return _lo + _width * i; }
-
-    std::uint64_t
-    underflow() const
-    {
-        return _underflow.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    overflow() const
-    {
-        return _overflow.load(std::memory_order_relaxed);
     }
 
     const std::string& name() const { return _name; }
@@ -203,22 +206,20 @@ class Histogram
 
   private:
     friend class StatsRegistry;
-    Histogram(std::string name, std::string desc, double lo, double hi,
-              std::size_t buckets);
+    Histogram(std::string name, std::string desc)
+        : _name(std::move(name)), _desc(std::move(desc))
+    {}
     void reset();
 
     std::string _name;
     std::string _desc;
-    double _lo;
-    double _hi;
-    double _width;
-    std::vector<std::atomic<std::uint64_t>> _buckets;
-    std::atomic<std::uint64_t> _underflow{0};
-    std::atomic<std::uint64_t> _overflow{0};
+    std::array<std::atomic<std::uint64_t>, kBuckets> _buckets{};
     std::atomic<std::uint64_t> _count{0};
     std::atomic<double> _sum{0.0};
-    std::atomic<double> _min{0.0};
-    std::atomic<double> _max{0.0};
+    // Infinity sentinels make the extremum CAS loops initialization
+    // free; minSeen()/maxSeen() report 0 while the count is 0.
+    std::atomic<double> _min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> _max{-std::numeric_limits<double>::infinity()};
 };
 
 /**
@@ -238,16 +239,10 @@ class StatsRegistry
     /** Find or create a gauge. */
     Gauge& gauge(const std::string& name, const std::string& desc = "");
 
-    /**
-     * Find or create a histogram; the bucket layout of the first
-     * creation wins (a later caller with different bounds gets the
-     * existing histogram).
-     */
-    Histogram& histogram(const std::string& name,
-                         const std::string& desc, double lo, double hi,
-                         std::size_t buckets);
+    /** Find or create a histogram. */
+    Histogram& histogram(const std::string& name, const std::string& desc);
 
-    /** Zero every value; names and layouts survive. */
+    /** Zero every value; names survive. */
     void resetValues();
 
     /** Sorted names of all registered stats (tests, report). */
@@ -275,11 +270,12 @@ class StatsRegistry
 /**
  * Render every registered stat as Prometheus text exposition format
  * (version 0.0.4): counters and gauges one sample each, histograms as
- * native Prometheus histograms (cumulative `le` buckets, `_sum`,
- * `_count`) plus a p50/p95/p99 `_quantile` gauge series from
- * Histogram::quantile. Metric names come from prometheusName(); values
- * print in the shortest form that parses back to the same double, so a
- * reader recovers every value exactly. This one text is both the
+ * native Prometheus histograms (a cumulative `le` line per occupied
+ * bucket, at its upper edge, then `+Inf`, `_sum`, `_count`) plus a
+ * p50/p95/p99 `_quantile` gauge series from Histogram::quantile.
+ * Metric names come from prometheusName(); values print in the
+ * shortest form that parses back to the same double, so a reader
+ * recovers every value exactly. This one text is both the
  * /metrics body and the sealed `metrics.prom` run artifact.
  */
 std::string renderPrometheusMetrics();

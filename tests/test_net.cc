@@ -111,7 +111,7 @@ TEST(Jsonlite, DecodesUnicodeEscapes)
 TEST(HistogramQuantile, InterpolatesAndClamps)
 {
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "test.net.quantile", "quantile test", 0.0, 100.0, 10);
+        "test.net.quantile", "quantile test");
     const bool was = stats::enabled();
     stats::setEnabled(true);
     EXPECT_DOUBLE_EQ(hist.quantile(0.5), 0.0);  // empty
@@ -120,8 +120,8 @@ TEST(HistogramQuantile, InterpolatesAndClamps)
         hist.sample(i + 0.5);  // uniform over [0, 100)
     const double p50 = hist.quantile(0.50);
     const double p95 = hist.quantile(0.95);
-    EXPECT_NEAR(p50, 50.0, 10.0 + 1e-9);  // one bucket of slack
-    EXPECT_NEAR(p95, 95.0, 10.0 + 1e-9);
+    EXPECT_NEAR(p50, 50.0, 50.0 / stats::Histogram::kSubBuckets);
+    EXPECT_NEAR(p95, 95.0, 95.0 / stats::Histogram::kSubBuckets);
     EXPECT_LT(p50, p95);
     EXPECT_GE(hist.quantile(0.0), hist.minSeen());
     EXPECT_LE(hist.quantile(1.0), hist.maxSeen());
@@ -131,12 +131,16 @@ TEST(HistogramQuantile, InterpolatesAndClamps)
 TEST(HistogramQuantile, AppearsInExposition)
 {
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "test.net.dump", "dump test", 0.0, 10.0, 5);
+        "test.net.dump", "dump test");
     const bool was = stats::enabled();
     stats::setEnabled(true);
     hist.sample(5.0);
     const std::string text = stats::renderPrometheusMetrics();
     EXPECT_NE(text.find("# TYPE gest_test_net_dump_quantile gauge\n"),
+              std::string::npos);
+    // Only the occupied bucket gets an le line, at its upper edge.
+    EXPECT_NE(text.find("\ngest_test_net_dump_bucket{le=\"5.5\"} 1\n"
+                        "gest_test_net_dump_bucket{le=\"+Inf\"} 1\n"),
               std::string::npos);
     for (const char* q : {"0.5", "0.95", "0.99"}) {
         const std::string line = std::string(
@@ -155,11 +159,11 @@ TEST(HistogramQuantile, AppearsInExposition)
 
 TEST(HistogramQuantile, PrometheusInfMatchesCountUnderConcurrentSamples)
 {
-    // One thread keeps sampling into the underflow, regular and
-    // overflow buckets while this one renders /metrics; every render
-    // must report +Inf equal to _count on every histogram.
+    // One thread keeps sampling below, inside and above the layout's
+    // range while this one renders /metrics; every render must report
+    // +Inf equal to _count on every histogram.
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "test.net.torn", "torn scrape test", 0.0, 10.0, 5);
+        "test.net.torn", "torn scrape test");
     const bool was = stats::enabled();
     stats::setEnabled(true);
 
@@ -167,7 +171,8 @@ TEST(HistogramQuantile, PrometheusInfMatchesCountUnderConcurrentSamples)
     std::thread sampler([&] {
         for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed);
              ++i)
-            hist.sample(static_cast<double>(i % 14) - 2.0);
+            hist.sample(i % 3 == 2 ? 0x1p41
+                                   : static_cast<double>(i % 14) - 2.0);
     });
     // Render only once the sampler is running.
     while (hist.count() == 0)
@@ -603,6 +608,48 @@ TEST(Top, FetchesASnapshotFromALiveServer)
     output::TopSnapshot bad;
     EXPECT_FALSE(output::fetchTopSnapshot("127.0.0.1:1", bad));
     EXPECT_FALSE(bad.error.empty());
+}
+
+TEST(Top, FileAndLiveSnapshotsShowTheSameSteadyShare)
+{
+    // status.json and /status carry the steady-hit denominator
+    // (measure.sim.evaluations), so `gest top <run_dir>` shows the same
+    // steady share as `gest top <url>` for one run.
+    const auto a15 = platform::cortexA15Platform();
+    const isa::InstructionLibrary& lib = a15->library();
+    measure::SimPowerMeasurement meas(lib, a15);
+    fitness::DefaultFitness fit;
+    Engine engine(smallParams(11, 4), lib, meas, fit);
+
+    const bool was = stats::enabled();
+    stats::StatsRegistry::instance().resetValues();
+    stats::setEnabled(true);
+    const std::string dir = makeTempDir("gest-top-steady");
+    config::RunConfig cfg = listenOnly(lib, smallParams(11, 4));
+    cfg.outputDirectory = dir;
+    config::RunPipeline pipeline(cfg, meas);
+    engine.setGenerationCallback(pipeline.callback());
+    engine.run();
+    stats::setEnabled(was);
+
+    output::TopSnapshot live;
+    ASSERT_TRUE(output::fetchTopSnapshot(pipeline.listenAddress(), live))
+        << live.error;
+    output::TopSnapshot files;
+    output::TopFilePoller poller(dir);
+    ASSERT_TRUE(poller.poll(files)) << files.error;
+    EXPECT_GT(files.simEvaluations, 0u);
+
+    auto steadyLine = [](const std::string& frame) {
+        const std::size_t at = frame.find("steady hits");
+        return at == std::string::npos
+                   ? std::string()
+                   : frame.substr(at, frame.find('\n', at) - at);
+    };
+    const std::string from_files = steadyLine(output::renderTop(files));
+    EXPECT_FALSE(from_files.empty()) << output::renderTop(files);
+    EXPECT_EQ(from_files, steadyLine(output::renderTop(live)));
+    removeAll(dir);
 }
 
 } // namespace

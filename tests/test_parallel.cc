@@ -22,7 +22,9 @@
 #include "measure/sim_measurements.hh"
 #include "native/native_measurement.hh"
 #include "platform/platform.hh"
+#include "stats/stats.hh"
 #include "util/logging.hh"
+#include "util/strutil.hh"
 #include "util/thread_pool.hh"
 
 namespace gest {
@@ -539,6 +541,47 @@ TEST(ParallelConfig, RejectsBadThreadValues)
     EXPECT_THROW(
         config::parseConfig(config_with("fitness_cache_size=\"big\"")),
         FatalError);
+}
+
+// --------------------------------------------------------------- stats
+
+TEST(ParallelStats, WorkerBusyCountersSumToEvaluationTime)
+{
+    // Each worker's busy time is the sum of its measurements' eval_us
+    // samples, published per batch truncated to whole microseconds.
+    const config::RunConfig cfg = config::parseConfig(R"(
+<gest_configuration>
+  <ga population_size="8" individual_size="8" generations="4" seed="3"
+      threads="2"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a15" min_cycles="256"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+</gest_configuration>
+)");
+    ASSERT_TRUE(cfg.recordStats);
+    const config::RunResult result = config::runFromConfig(cfg);
+
+    stats::StatsRegistry& reg = stats::StatsRegistry::instance();
+    const stats::Histogram& eval = reg.histogram("engine.eval_us", "");
+    double busy_us = 0.0;
+    for (const stats::Counter* c : reg.counterList()) {
+        if (startsWith(c->name(), "engine.worker.") &&
+            endsWith(c->name(), ".busy_us"))
+            busy_us += static_cast<double>(c->value());
+    }
+    const double batches = static_cast<double>(result.history.size());
+    const double workers = static_cast<double>(cfg.ga.threads);
+    EXPECT_GT(busy_us, 0.0);
+    // The relative slack absorbs summation order, nothing more.
+    EXPECT_LE(busy_us, eval.sum() * (1.0 + 1e-12));
+    EXPECT_GE(busy_us, eval.sum() - workers * batches);
+
+    const std::uint64_t evaluations =
+        reg.counter("engine.evaluations").value();
+    EXPECT_EQ(evaluations, eval.count());
+    EXPECT_EQ(evaluations, result.evaluations);
 }
 
 } // namespace

@@ -5,8 +5,13 @@
  * analyzer and the thread-pool worker ids that trace events rely on.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -64,11 +69,11 @@ TEST_F(StatsTest, RegistryReturnsSameObjectForSameName)
     EXPECT_EQ(&a, &b);
 
     stats::Histogram& h1 = stats::StatsRegistry::instance().histogram(
-        "test.same_hist", "", 0.0, 10.0, 5);
+        "test.same_hist", "first description");
     stats::Histogram& h2 = stats::StatsRegistry::instance().histogram(
-        "test.same_hist", "", 0.0, 99.0, 7);
+        "test.same_hist", "second description");
     EXPECT_EQ(&h1, &h2);
-    EXPECT_EQ(h2.numBuckets(), 5u); // first layout wins
+    EXPECT_EQ(h2.desc(), "first description"); // the creator's wins
 }
 
 TEST_F(StatsTest, GaugeSetAndAdd)
@@ -89,7 +94,7 @@ TEST_F(StatsTest, GaugeSetAndAdd)
 TEST_F(StatsTest, HistogramBucketsAndExtrema)
 {
     stats::Histogram& h = stats::StatsRegistry::instance().histogram(
-        "test.hist", "test histogram", 0.0, 10.0, 10);
+        "test.hist", "test histogram");
     stats::StatsRegistry::instance().resetValues();
     stats::setEnabled(true);
 
@@ -97,32 +102,86 @@ TEST_F(StatsTest, HistogramBucketsAndExtrema)
     EXPECT_DOUBLE_EQ(h.minSeen(), 0.0); // empty: defined as zero
     EXPECT_DOUBLE_EQ(h.maxSeen(), 0.0);
 
-    h.sample(0.5);  // bucket 0
-    h.sample(9.5);  // bucket 9
-    h.sample(-3.0); // underflow
-    h.sample(10.0); // hi is exclusive: overflow
-    h.sample(42.0); // overflow
+    const std::size_t last = stats::Histogram::kBuckets - 1;
+    h.sample(1.0);     // [1, 1.125)
+    h.sample(1.124);   // same bucket
+    h.sample(-3.0);    // below the range: first bucket
+    h.sample(0.0);     // below the range: first bucket
+    h.sample(0x1p40);  // the range's top is exclusive: last bucket
+    h.sample(1e300);   // last bucket
 
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(h.sum(), 59.0);
+    EXPECT_EQ(h.count(), 6u);
+    EXPECT_EQ(h.bucketCount(stats::Histogram::bucketIndex(1.0)), 2u);
+    EXPECT_EQ(h.bucketCount(0), 2u);
+    EXPECT_EQ(h.bucketCount(last), 2u);
+    EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 1.124 - 3.0 + 0x1p40 + 1e300);
     EXPECT_DOUBLE_EQ(h.minSeen(), -3.0);
-    EXPECT_DOUBLE_EQ(h.maxSeen(), 42.0);
-    EXPECT_DOUBLE_EQ(h.bucketLo(3), 3.0);
+    EXPECT_DOUBLE_EQ(h.maxSeen(), 1e300);
 
     stats::StatsRegistry::instance().resetValues();
     EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucketCount(9), 0u);
+    EXPECT_EQ(h.bucketCount(last), 0u);
     EXPECT_DOUBLE_EQ(h.minSeen(), 0.0);
+}
+
+TEST_F(StatsTest, HistogramLayoutEdgesAreExactAndLogLinear)
+{
+    using H = stats::Histogram;
+    EXPECT_EQ(H::edge(0), -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(H::edge(1), std::ldexp(1.0, H::kMinExp));
+    EXPECT_EQ(H::edge(H::kBuckets - 1), std::ldexp(1.0, H::kMaxExp));
+    EXPECT_EQ(H::edge(H::kBuckets), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(H::bucketIndex(std::numeric_limits<double>::quiet_NaN()), 0u);
+    EXPECT_EQ(H::bucketIndex(-std::numeric_limits<double>::infinity()), 0u);
+    EXPECT_EQ(H::bucketIndex(std::numeric_limits<double>::infinity()),
+              H::kBuckets - 1);
+    for (std::size_t i = 1; i < H::kBuckets; ++i) {
+        const double lo = H::edge(i);
+        // Each edge maps to its own bucket, the double just below it
+        // to the bucket before.
+        ASSERT_EQ(H::bucketIndex(lo), i) << lo;
+        ASSERT_EQ(H::bucketIndex(std::nextafter(lo, 0.0)), i - 1) << lo;
+        // Edges print and parse back exactly.
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.15g", lo);
+        ASSERT_EQ(std::strtod(buf, nullptr), lo) << buf;
+        if (i + 1 < H::kBuckets) {
+            ASSERT_LE(H::edge(i + 1) - lo, lo / H::kSubBuckets) << lo;
+        }
+    }
+}
+
+TEST_F(StatsTest, HistogramQuantilesTrackExactOrderStatistics)
+{
+    // Log-uniform samples over nine decades: every quantile sits in the
+    // same bucket as the exact order statistic, so the two differ by at
+    // most the layout's relative bucket width.
+    stats::Histogram& h = stats::StatsRegistry::instance().histogram(
+        "test.quantile_accuracy", "");
+    stats::StatsRegistry::instance().resetValues();
+    stats::setEnabled(true);
+    std::mt19937_64 rng(15);
+    std::uniform_real_distribution<double> decades(-2.0, 7.0);
+    std::vector<double> samples(100000);
+    for (double& v : samples) {
+        v = std::pow(10.0, decades(rng));
+        h.sample(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    const double n = static_cast<double>(samples.size());
+    for (double q : {0.01, 0.10, 0.50, 0.90, 0.99, 0.999}) {
+        const auto rank = static_cast<std::size_t>(std::ceil(q * n));
+        const double exact = samples[rank - 1];
+        EXPECT_LE(std::abs(h.quantile(q) - exact),
+                  exact / stats::Histogram::kSubBuckets)
+            << "q=" << q << " exact=" << exact;
+    }
 }
 
 TEST_F(StatsTest, ScopedTimerOnlyRunsWhenEnabled)
 {
     stats::Histogram& h = stats::StatsRegistry::instance().histogram(
-        "test.timer", "", 0.0, 1e9, 4);
+        "test.timer", "");
     stats::StatsRegistry::instance().resetValues();
 
     stats::setEnabled(false);
@@ -152,7 +211,7 @@ TEST_F(StatsTest, ConcurrentRecordingIsConsistent)
     stats::Counter& ctr =
         stats::StatsRegistry::instance().counter("test.mt_counter");
     stats::Histogram& h = stats::StatsRegistry::instance().histogram(
-        "test.mt_hist", "", 0.0, 8.0, 8);
+        "test.mt_hist", "");
     stats::StatsRegistry::instance().resetValues();
     stats::setEnabled(true);
 
@@ -175,7 +234,7 @@ TEST_F(StatsTest, ConcurrentRecordingIsConsistent)
     EXPECT_EQ(h.count(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
     std::uint64_t in_buckets = 0;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
+    for (std::size_t i = 0; i < stats::Histogram::kBuckets; ++i)
         in_buckets += h.bucketCount(i);
     EXPECT_EQ(in_buckets, h.count());
 }
@@ -211,19 +270,20 @@ TEST_F(StatsTest, ExpositionCarriesNamesValuesAndEscaping)
 TEST_F(StatsTest, HistogramQuantileStaysInRangeAndMonotone)
 {
     // Property: for any sample set, quantile(q) lies in [min, max] and
-    // never decreases as q grows — whether the mass sits in regular
-    // buckets, the underflow bucket or the overflow bucket. A bucket
-    // width that is not a binary fraction exercises edge rounding.
+    // never decreases as q grows — whether the mass sits inside the
+    // layout's range, in the bucket below it (zero and negatives) or in
+    // the bucket above it.
     stats::Histogram& h = stats::StatsRegistry::instance().histogram(
-        "test.quantile_property", "quantile property", 0.0, 10.0, 7);
+        "test.quantile_property", "quantile property");
     stats::setEnabled(true);
     std::mt19937_64 rng(20190324);
     struct Mix
     {
-        double under, over;  ///< share of samples outside [0, 10)
+        double below, above;  ///< share of samples outside the range
     };
     const Mix mixes[] = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0},
                          {0.3, 0.0}, {0.0, 0.3}, {0.25, 0.25}};
+    const double top = std::ldexp(1.0, stats::Histogram::kMaxExp);
     for (const Mix& mix : mixes) {
         for (int trial = 0; trial < 20; ++trial) {
             stats::StatsRegistry::instance().resetValues();
@@ -231,12 +291,12 @@ TEST_F(StatsTest, HistogramQuantileStaysInRangeAndMonotone)
             std::uniform_real_distribution<double> unit(0.0, 1.0);
             for (int i = 0; i < n; ++i) {
                 const double pick = unit(rng);
-                if (pick < mix.under)
-                    h.sample(-50.0 * unit(rng) - 1e-9);
-                else if (pick < mix.under + mix.over)
-                    h.sample(10.0 + 50.0 * unit(rng));
+                if (pick < mix.below)
+                    h.sample(-50.0 * unit(rng));
+                else if (pick < mix.below + mix.above)
+                    h.sample(top * (1.0 + 50.0 * unit(rng)));
                 else
-                    h.sample(10.0 * unit(rng));
+                    h.sample(10.0 * unit(rng) + 1e-3);
             }
             double previous = h.quantile(0.0);
             for (int step = 0; step <= 1000; ++step) {
@@ -260,8 +320,7 @@ TEST_F(StatsTest, ExpositionRoundTripsEveryValue)
     stats::Gauge& third = reg.gauge("test.roundtrip.third", "");
     stats::Gauge& tiny = reg.gauge("test.roundtrip.tiny", "");
     stats::Gauge& huge = reg.gauge("test.roundtrip.huge", "");
-    stats::Histogram& hist = reg.histogram("test.roundtrip.hist", "",
-                                           0.0, 1.0, 3);
+    stats::Histogram& hist = reg.histogram("test.roundtrip.hist", "");
     reg.resetValues();
     stats::setEnabled(true);
     big.inc(123456789012ull);

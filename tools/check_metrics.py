@@ -13,8 +13,9 @@ endpoints"):
   * /events is well-framed SSE: "event:"/"id:"/"data:" lines, blank-line
     separated, each data payload valid JSON with a generation number;
   * the run's sealed metrics.prom passes the same exposition checks,
-    and every counter scraped from /metrics reappears in it with a
-    value >= the last scraped value (counters are monotonic and the
+    its _quantile values lie in their own le buckets, and every counter
+    scraped from /metrics reappears in it with a value >= the last
+    scraped value (counters are monotonic and the
     artifact outlives the server);
   * every sink agrees at run end: the completed /status body equals
     the final status.json bytes, the last /history row matches the
@@ -48,8 +49,8 @@ import tempfile
 import time
 
 import checklib
-from checklib import (ServerGone, SseReader, check_metrics_text, fail,
-                      get, get_json, wait_for_listen)
+from checklib import (ServerGone, SseReader, check_metrics_text,
+                      check_quantiles, fail, get, get_json, wait_for_listen)
 
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
@@ -84,7 +85,7 @@ STATUS_KEYS = (
     "state", "generation", "total_generations", "best_fitness",
     "average_fitness", "diversity", "evaluations", "cache_hit_rate",
     "evals_per_sec", "elapsed_seconds", "eta_seconds", "steady_hits",
-    "cycles_simulated", "cycles_tiled", "listen",
+    "sim_evaluations", "cycles_simulated", "cycles_tiled", "listen",
 )
 
 HISTORY_KEYS = (
@@ -202,9 +203,11 @@ def cross_check(scraped, prom_path):
     smaller."""
     try:
         with open(prom_path, encoding="utf-8") as handle:
-            final = check_metrics_text(handle.read(), prom_path)
+            text = handle.read()
     except OSError as err:
         fail(f"cannot read {prom_path}: {err}")
+    final = check_metrics_text(text, prom_path)
+    checked = check_quantiles(text, prom_path)
     for name, value in scraped.items():
         if name not in final:
             fail(f"counter {name} was scraped from /metrics but has no "
@@ -214,7 +217,8 @@ def cross_check(scraped, prom_path):
                  f"< last scraped value {value} (counters are "
                  "monotonic; the artifacts must agree with the scrape)")
     print(f"check_metrics: OK: {len(scraped)} scraped counters "
-          f"cross-checked against metrics.prom")
+          f"cross-checked against metrics.prom; {checked} histograms' "
+          "quantiles lie in their buckets")
 
 
 def last_csv_row(path):

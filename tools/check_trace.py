@@ -34,7 +34,7 @@ import sys
 import tempfile
 
 import checklib
-from checklib import check_metrics_text, fail, run_gest
+from checklib import check_metrics_text, check_quantiles, fail, run_gest
 
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
@@ -164,14 +164,17 @@ def drive(gest_binary):
         metrics = os.path.join(out, "metrics.prom")
         try:
             with open(metrics, encoding="utf-8") as handle:
-                counters = check_metrics_text(handle.read(), metrics)
+                text = handle.read()
         except OSError as err:
             fail(f"cannot read {metrics}: {err}")
+        counters = check_metrics_text(text, metrics)
+        checked = check_quantiles(text, metrics)
         generations = counters.get("gest_engine_generations_total")
         if generations != 3:
             fail(f"metrics.prom engine.generations != 3: {generations!r}")
         print(f"check_trace: OK: metrics.prom has {len(counters)} "
-              "counters")
+              f"counters and {checked} histograms with in-bucket "
+              "quantiles")
         checklib.keep_scratch(None)
 
 

@@ -11,7 +11,10 @@ tools/lineage_to_dot.py).
   * SseReader drains the /events stream over a raw socket;
   * run_gest() runs the gest binary and fails on an unexpected exit;
   * check_metrics_text() validates a Prometheus text exposition — the
-    live /metrics body and the sealed metrics.prom alike.
+    live /metrics body and the sealed metrics.prom alike;
+  * check_quantiles() checks each histogram's _quantile series against
+    its own le buckets (sealed metrics.prom only: a live scrape can
+    race a sample).
 
 The validators run as scripts, so their directory — this one — is on
 sys.path and `import checklib` resolves here.
@@ -231,3 +234,56 @@ def check_metrics_text(text, where="/metrics"):
     if not counters:
         fail(f"{where} exposes no counters at all")
     return counters
+
+
+QUANTILE_RE = re.compile(
+    r'^([a-zA-Z_:][a-zA-Z0-9_:]*)_quantile\{quantile="([^"]+)"\} (\S+)$')
+BUCKET_RE = re.compile(
+    r'^([a-zA-Z_:][a-zA-Z0-9_:]*)_bucket\{le="([^"]+)"\} (\S+)$')
+
+
+def check_quantiles(text, where):
+    """Each histogram's _quantile values must be non-decreasing in q,
+    and each must lie between the le edge before the first bucket whose
+    cumulative count reaches q * _count and that bucket's le; fail()
+    naming @p where otherwise. @return the number of histograms
+    checked."""
+    buckets, quantiles, counts = {}, {}, {}
+    for line in text.splitlines():
+        match = BUCKET_RE.match(line)
+        if match:
+            base, le, value = match.groups()
+            buckets.setdefault(base, []).append((float(le), float(value)))
+            continue
+        match = QUANTILE_RE.match(line)
+        if match:
+            base, q, value = match.groups()
+            quantiles.setdefault(base, []).append((float(q), float(value)))
+            continue
+        name, _, value = line.partition(" ")
+        if name.endswith("_count"):
+            counts[name[:-len("_count")]] = float(value)
+    checked = 0
+    for base, series in quantiles.items():
+        count = counts.get(base)
+        if base not in buckets or count is None:
+            fail(f"{where} histogram {base}: _quantile series without "
+                 "its buckets or _count")
+        if count == 0:
+            continue
+        series.sort()
+        values = [v for _, v in series]
+        if any(b < a for a, b in zip(values, values[1:])):
+            fail(f"{where} histogram {base}: quantiles decrease in q: "
+                 f"{series}")
+        for q, value in series:
+            lower = float("-inf")
+            for le, cumulative in buckets[base]:
+                if cumulative >= q * count:
+                    break
+                lower = le
+            if not lower <= value <= le:
+                fail(f"{where} histogram {base}: quantile {q} = {value} "
+                     f"outside its bucket [{lower}, {le}]")
+        checked += 1
+    return checked
