@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "util/fileutil.hh"
+#include "util/ledger.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -32,17 +33,6 @@ quantile(const std::vector<double>& sorted, double p)
     const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = position - static_cast<double>(lo);
     return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-/** Column index by header name, or -1 when absent. */
-int
-columnIndex(const std::vector<std::string>& header,
-            const std::string& name)
-{
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end()
-               ? -1
-               : static_cast<int>(it - header.begin());
 }
 
 } // namespace
@@ -221,90 +211,33 @@ formatAnalyticsRow(const AnalyticsRow& row)
 }
 
 std::vector<AnalyticsRow>
-parseAnalytics(const std::string& text)
+parseAnalytics(const std::string& text, const std::string& path)
 {
+    LedgerReader reader(path, "analytics", analyticsCsvVersion);
     std::vector<AnalyticsRow> rows;
-    std::vector<std::string> header;
-    int generation = -1, entropy = -1, diversity = -1;
-    std::array<int, isa::numInstrClasses> mix;
-    mix.fill(-1);
-    int fmin = -1, fq1 = -1, fmed = -1, fq3 = -1, fmax = -1;
-    int xchildren = -1, ximproved = -1, mchildren = -1, mimproved = -1,
-        elites = -1;
-
-    int line_number = 0;
-    for (const std::string& raw : split(text, '\n')) {
-        ++line_number;
-        const std::string line = trim(raw);
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (header.empty()) {
-            header = split(line, ',');
-            if (columnIndex(header, "generation") != 0)
-                fatal("analytics.csv does not look like a gest "
-                      "analytics file: expected a header starting with "
-                      "'generation', got '", line, "'");
-            generation = columnIndex(header, "generation");
-            for (int c = 0; c < isa::numInstrClasses; ++c)
-                mix[static_cast<std::size_t>(c)] =
-                    columnIndex(header, kMixColumns[c]);
-            entropy = columnIndex(header, "gene_entropy_bits");
-            diversity = columnIndex(header, "pairwise_diversity");
-            fmin = columnIndex(header, "fitness_min");
-            fq1 = columnIndex(header, "fitness_q1");
-            fmed = columnIndex(header, "fitness_median");
-            fq3 = columnIndex(header, "fitness_q3");
-            fmax = columnIndex(header, "fitness_max");
-            xchildren = columnIndex(header, "crossover_children");
-            ximproved = columnIndex(header, "crossover_improved");
-            mchildren = columnIndex(header, "mutation_children");
-            mimproved = columnIndex(header, "mutation_improved");
-            elites = columnIndex(header, "elite_copies");
-            continue;
-        }
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < header.size())
-            fatal("analytics.csv is truncated at line ", line_number,
-                  " (", fields.size(), " of ", header.size(),
-                  " columns): delete that line to analyze the complete "
-                  "generations");
-        auto num = [&](int index, const char* what) -> double {
-            if (index < 0)
-                return 0.0;
-            return parseDouble(fields[static_cast<std::size_t>(index)],
-                               detail::concat(what, " (analytics.csv "
-                                              "line ", line_number, ")"));
-        };
+    reader.read(text, [&] {
         AnalyticsRow row;
-        row.generation =
-            static_cast<int>(num(generation, "generation"));
+        row.generation = static_cast<int>(reader.integer("generation"));
         for (int c = 0; c < isa::numInstrClasses; ++c)
             row.classMix[static_cast<std::size_t>(c)] =
-                static_cast<std::uint64_t>(
-                    num(mix[static_cast<std::size_t>(c)],
-                        kMixColumns[c]));
-        row.geneEntropyBits = num(entropy, "gene_entropy_bits");
-        row.pairwiseDiversity = num(diversity, "pairwise_diversity");
-        row.fitnessMin = num(fmin, "fitness_min");
-        row.fitnessQ1 = num(fq1, "fitness_q1");
-        row.fitnessMedian = num(fmed, "fitness_median");
-        row.fitnessQ3 = num(fq3, "fitness_q3");
-        row.fitnessMax = num(fmax, "fitness_max");
-        row.crossoverChildren = static_cast<std::uint64_t>(
-            num(xchildren, "crossover_children"));
-        row.crossoverImproved = static_cast<std::uint64_t>(
-            num(ximproved, "crossover_improved"));
-        row.mutationChildren = static_cast<std::uint64_t>(
-            num(mchildren, "mutation_children"));
-        row.mutationImproved = static_cast<std::uint64_t>(
-            num(mimproved, "mutation_improved"));
-        row.eliteCopies =
-            static_cast<std::uint64_t>(num(elites, "elite_copies"));
+                reader.count(kMixColumns[c]);
+        row.geneEntropyBits = reader.number("gene_entropy_bits");
+        row.pairwiseDiversity = reader.number("pairwise_diversity");
+        row.fitnessMin = reader.number("fitness_min");
+        row.fitnessQ1 = reader.number("fitness_q1");
+        row.fitnessMedian = reader.number("fitness_median");
+        row.fitnessQ3 = reader.number("fitness_q3");
+        row.fitnessMax = reader.number("fitness_max");
+        row.crossoverChildren = reader.count("crossover_children");
+        row.crossoverImproved = reader.count("crossover_improved");
+        row.mutationChildren = reader.count("mutation_children");
+        row.mutationImproved = reader.count("mutation_improved");
+        row.eliteCopies = reader.count("elite_copies");
         rows.push_back(row);
-    }
-    if (header.empty())
-        fatal("analytics.csv is empty — the run has not sealed its "
-              "first generation yet");
+    });
+    if (!reader.hasHeader())
+        fatal("'", path, "' is empty — the run has not sealed its first "
+              "generation yet");
     return rows;
 }
 
@@ -315,7 +248,7 @@ tryLoadAnalytics(const std::string& run_dir,
     std::string text;
     if (!tryReadFile(run_dir + "/analytics.csv", text))
         return false;
-    out = parseAnalytics(text);
+    out = parseAnalytics(text, run_dir + "/analytics.csv");
     return true;
 }
 

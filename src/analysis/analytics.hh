@@ -107,8 +107,12 @@ std::string analyticsCsvHeader();
 /** @p row as one analytics.csv line. */
 std::string formatAnalyticsRow(const AnalyticsRow& row);
 
-/** Parse analytics.csv text; fatal() on malformed rows. */
-std::vector<AnalyticsRow> parseAnalytics(const std::string& text);
+/**
+ * Parse analytics.csv text (@p path names it in errors) with the shared
+ * ledger reader; fatal() on malformed rows.
+ */
+std::vector<AnalyticsRow> parseAnalytics(
+    const std::string& text, const std::string& path = "analytics.csv");
 
 /**
  * Read and parse @p run_dir/analytics.csv. @return false (leaving

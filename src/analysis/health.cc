@@ -7,6 +7,7 @@
 
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
+#include "util/ledger.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -247,36 +248,21 @@ loadAlerts(const std::string& run_dir, std::vector<Alert>& out)
     if (!tryReadFile(path, text))
         return false;
 
-    bool saw_header = false;
-    for (const std::string& line : split(text, '\n')) {
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            if (startsWith(line, "# gest-alerts v") &&
-                line != "# gest-alerts v1")
-                fatal(path, " is schema '", line,
-                      "'; this build reads v1");
-            continue;
-        }
-        if (!saw_header) {
-            saw_header = true;
-            continue;
-        }
-        // message is the 6th field and may contain no commas by
-        // construction, so a plain split is exact.
-        const std::vector<std::string> cells = split(line, ',');
-        if (cells.size() < 6)
-            fatal(path, ": truncated alert row '", line, "'");
+    LedgerReader reader(path, "alerts", alertsVersion,
+                        {"rule", "severity", "value", "threshold",
+                         "message"});
+    reader.read(text, [&] {
+        // Messages are comma-free by construction, so the split that
+        // found the message cell is exact.
         Alert alert;
-        alert.generation =
-            static_cast<int>(parseInt(cells[0], "alert generation"));
-        alert.rule = cells[1];
-        alert.severity = cells[2];
-        alert.value = parseDouble(cells[3], "alert value");
-        alert.threshold = parseDouble(cells[4], "alert threshold");
-        alert.message = cells[5];
+        alert.generation = static_cast<int>(reader.integer("generation"));
+        alert.rule = reader.text("rule");
+        alert.severity = reader.text("severity");
+        alert.value = reader.number("value");
+        alert.threshold = reader.number("threshold");
+        alert.message = reader.text("message");
         out.push_back(std::move(alert));
-    }
+    });
     return true;
 }
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "util/fileutil.hh"
+#include "util/ledger.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -101,88 +102,33 @@ LineageLedger::fitnessOf(std::uint64_t id, double& out) const
     return true;
 }
 
-namespace {
-
-/** Column index by header name, or -1 when this file predates it. */
-int
-columnIndex(const std::vector<std::string>& header,
-            const std::string& name)
-{
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end()
-               ? -1
-               : static_cast<int>(it - header.begin());
-}
-
-} // namespace
-
 std::vector<LineageEvent>
-parseLineage(const std::string& text)
+parseLineage(const std::string& text, const std::string& path)
 {
+    LedgerReader reader(path, "lineage", lineageCsvVersion,
+                        {"id", "op", "parent1", "parent2", "fitness"});
     std::vector<LineageEvent> events;
-    std::vector<std::string> header;
-    int generation = -1, id = -1, op = -1, parent1 = -1, parent2 = -1,
-        indices = -1, fitness = -1;
-
-    int line_number = 0;
-    for (const std::string& raw : split(text, '\n')) {
-        ++line_number;
-        const std::string line = trim(raw);
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (header.empty()) {
-            header = split(line, ',');
-            if (columnIndex(header, "generation") != 0)
-                fatal("lineage.csv does not look like a gest lineage "
-                      "file: expected a header starting with "
-                      "'generation', got '", line, "'");
-            generation = columnIndex(header, "generation");
-            id = columnIndex(header, "id");
-            op = columnIndex(header, "op");
-            parent1 = columnIndex(header, "parent1");
-            parent2 = columnIndex(header, "parent2");
-            indices = columnIndex(header, "mutated_indices");
-            fitness = columnIndex(header, "fitness");
-            if (id < 0 || op < 0 || parent1 < 0 || parent2 < 0 ||
-                fitness < 0)
-                fatal("lineage.csv header lacks required columns "
-                      "(id/op/parent1/parent2/fitness): '", line, "'");
-            continue;
-        }
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < header.size())
-            fatal("lineage.csv is truncated at line ", line_number, " (",
-                  fields.size(), " of ", header.size(), " columns): the "
-                  "run may have been interrupted mid-write; delete that "
-                  "line to analyze the sealed generations");
-        auto cell = [&](int index) -> const std::string& {
-            return fields[static_cast<std::size_t>(index)];
-        };
+    reader.read(text, [&] {
         LineageEvent event;
-        event.generation = static_cast<int>(
-            parseInt(cell(generation), "lineage generation"));
-        event.id = static_cast<std::uint64_t>(
-            parseInt(cell(id), "lineage id"));
-        if (!birthOpFromString(cell(op), event.op))
-            fatal("lineage.csv line ", line_number,
-                  " has unknown op '", cell(op),
-                  "' — was the file written by a newer gest?");
-        event.parent1 = static_cast<std::uint64_t>(
-            parseInt(cell(parent1), "lineage parent1"));
-        event.parent2 = static_cast<std::uint64_t>(
-            parseInt(cell(parent2), "lineage parent2"));
-        if (indices >= 0 && !cell(indices).empty()) {
-            for (const std::string& g : split(cell(indices), ';'))
+        event.generation = static_cast<int>(reader.integer("generation"));
+        event.id = reader.count("id");
+        if (!birthOpFromString(reader.text("op"), event.op))
+            reader.fail("unknown op '" + reader.text("op") +
+                        "' — was the file written by a newer gest?");
+        event.parent1 = reader.count("parent1");
+        event.parent2 = reader.count("parent2");
+        const std::string& indices = reader.text("mutated_indices");
+        if (!indices.empty()) {
+            for (const std::string& g : split(indices, ';'))
                 event.mutatedGenes.push_back(static_cast<std::uint32_t>(
-                    parseInt(g, "lineage mutated gene index")));
+                    parseInt(g, reader.where("mutated_indices"))));
         }
-        event.fitness = parseDouble(cell(fitness), "lineage fitness");
+        event.fitness = reader.number("fitness");
         events.push_back(std::move(event));
-    }
-    if (header.empty())
-        fatal("lineage.csv is empty — the run has not sealed its first "
-              "generation yet (or analytics were disabled with "
-              "<output analytics=\"false\"/>)");
+    });
+    if (!reader.hasHeader())
+        fatal("'", path, "' is empty — the run has not sealed its first "
+              "generation yet");
     return events;
 }
 
@@ -194,11 +140,11 @@ loadLineage(const std::string& run_dir)
     const std::string path = run_dir + "/lineage.csv";
     std::string text;
     if (!tryReadFile(path, text))
-        fatal("no lineage.csv in '", run_dir, "' — the run predates the "
-              "analytics subsystem or was run with <output "
-              "analytics=\"false\"/>; rerun with analytics enabled to "
-              "record lineage");
-    return parseLineage(text);
+        fatal("no lineage.csv in '", run_dir, "' — it is not the output "
+              "directory of a gest run, or the run predates the "
+              "analytics ledgers; rerun with a current build to record "
+              "lineage");
+    return parseLineage(text, path);
 }
 
 Ancestry
@@ -276,9 +222,12 @@ championAncestry(const std::vector<LineageEvent>& events)
                                          out.unknownParents.end()),
                              out.unknownParents.end());
 
-    // Primary descent line: follow the fitter known parent.
+    // Primary descent line: follow the fitter known parent. A corrupt
+    // ledger can make a birth its own ancestor; the line stops before
+    // it would revisit one.
+    std::unordered_set<std::size_t> on_line;
     std::size_t index = champion;
-    for (;;) {
+    while (on_line.insert(index).second) {
         out.chain.push_back(index);
         const LineageEvent& event = events[index];
         if (event.op == BirthOp::Seed || event.op == BirthOp::Resumed)

@@ -97,10 +97,11 @@ std::string lineageCsvHeader();
 std::string formatLineageRows(const std::vector<LineageEvent>& events);
 
 /**
- * Parse lineage.csv text. Header-driven like the history parser;
- * fatal() with an actionable message on malformed rows.
+ * Parse lineage.csv text (@p path names it in errors) with the shared
+ * ledger reader; fatal() with an actionable message on malformed rows.
  */
-std::vector<LineageEvent> parseLineage(const std::string& text);
+std::vector<LineageEvent> parseLineage(
+    const std::string& text, const std::string& path = "lineage.csv");
 
 /** Read and parse @p run_dir/lineage.csv; fatal() when absent. */
 std::vector<LineageEvent> loadLineage(const std::string& run_dir);

@@ -1,8 +1,11 @@
 #include "analysis/snapshot.hh"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "stats/stats.hh"
+#include "util/jsonlite.hh"
 #include "util/strutil.hh"
 
 namespace gest {
@@ -68,6 +71,75 @@ formatStatusJson(const StatusSnapshot& snapshot)
     payload += "  \"listen\": \"" + jsonEscape(snapshot.listen) +
                "\"\n}\n";
     return payload;
+}
+
+namespace {
+
+/**
+ * Set the integer @p out from the number at @p key when present and in
+ * range (an out-of-range conversion is undefined behaviour).
+ */
+template <typename T>
+void
+readInteger(const json::Value& object, const char* key, T& out)
+{
+    const double v = object.numberOr(key, -0x1p70);
+    if (v >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        v < std::ldexp(1.0, std::numeric_limits<T>::digits))
+        out = static_cast<T>(v);
+}
+
+} // namespace
+
+bool
+parseStatusJson(std::string_view text, StatusSnapshot& out,
+                std::string* error)
+{
+    json::Value status;
+    std::string parse_error;
+    if (!json::parse(text, status, &parse_error)) {
+        if (error)
+            *error = "not valid JSON: " + parse_error;
+        return false;
+    }
+    const std::string state = status.stringOr("state", "");
+    if (state != "running" && state != "completed") {
+        if (error)
+            *error = "not a heartbeat: \"state\" is neither \"running\" "
+                     "nor \"completed\"";
+        return false;
+    }
+    out.running = state == "running";
+    readInteger(status, "generation", out.generation);
+    readInteger(status, "total_generations", out.totalGenerations);
+    out.bestFitness = status.numberOr("best_fitness", out.bestFitness);
+    out.averageFitness =
+        status.numberOr("average_fitness", out.averageFitness);
+    out.diversity = status.numberOr("diversity", out.diversity);
+    out.geneEntropyBits =
+        status.numberOr("gene_entropy_bits", out.geneEntropyBits);
+    out.pairwiseDiversity =
+        status.numberOr("pairwise_diversity", out.pairwiseDiversity);
+    readInteger(status, "evaluations", out.evaluations);
+    out.cacheHitRate = status.numberOr("cache_hit_rate", out.cacheHitRate);
+    out.evalsPerSec = status.numberOr("evals_per_sec", out.evalsPerSec);
+    out.elapsedSeconds =
+        status.numberOr("elapsed_seconds", out.elapsedSeconds);
+    out.etaSeconds = status.numberOr("eta_seconds", out.etaSeconds);
+    readInteger(status, "steady_hits", out.steadyHits);
+    readInteger(status, "sim_evaluations", out.simEvaluations);
+    readInteger(status, "cycles_simulated", out.cyclesSimulated);
+    readInteger(status, "cycles_tiled", out.cyclesTiled);
+    readInteger(status, "digests_sealed", out.digestsSealed);
+    if (const json::Value* alerts = status.find("alerts")) {
+        readInteger(*alerts, "raised", out.alertsRaised);
+        readInteger(*alerts, "last_generation", out.lastAlertGeneration);
+        out.lastAlertRule = alerts->stringOr("last_rule", out.lastAlertRule);
+    }
+    out.gitSha = status.stringOr("git_sha", out.gitSha);
+    out.build = status.stringOr("build", out.build);
+    out.listen = status.stringOr("listen", out.listen);
+    return true;
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analytics.hh"
@@ -27,7 +28,8 @@ namespace analysis {
  * Everything one status.json heartbeat says, in composable form. The
  * run pipeline composes one per sealed generation (and a final one at
  * run end); status.json and GET /status both render it with
- * formatStatusJson, so they speak one schema byte for byte.
+ * formatStatusJson, so they speak one schema byte for byte, and every
+ * reader (`gest top`, the registry) reads it back with parseStatusJson.
  */
 struct StatusSnapshot
 {
@@ -80,6 +82,17 @@ struct StatusSnapshot
 
 /** Render a snapshot as the status.json / GET /status payload. */
 std::string formatStatusJson(const StatusSnapshot& snapshot);
+
+/**
+ * Parse a status.json / GET /status payload into @p out: the one
+ * heartbeat reader, the inverse of formatStatusJson. Keys the payload
+ * lacks (older builds wrote fewer) leave @p out's values as they were,
+ * so callers preset their own "absent" sentinels. @return false, with
+ * @p error set when non-null, when @p text is not a JSON object whose
+ * "state" is "running" or "completed".
+ */
+bool parseStatusJson(std::string_view text, StatusSnapshot& out,
+                     std::string* error);
 
 /**
  * Copy the steady-state fast-path counters (eval.steady_hits,

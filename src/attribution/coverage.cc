@@ -7,6 +7,8 @@
 #include "attribution/attribution.hh"
 #include "core/population.hh"
 #include "stats/stats.hh"
+#include "util/fileutil.hh"
+#include "util/ledger.hh"
 #include "util/logging.hh"
 
 namespace gest {
@@ -207,6 +209,35 @@ formatCoverageCsvRow(const CoverageLedger::Snapshot& snap)
     for (int c = 0; c < isa::numInstrClasses; ++c)
         out += "," + std::to_string(snap.classes[c].seen);
     return out + "\n";
+}
+
+bool
+loadCoverage(const std::string& run_dir,
+             std::vector<CoverageLedger::Snapshot>& out)
+{
+    out.clear();
+    std::string text;
+    const std::string path = run_dir + "/coverage.csv";
+    if (!tryReadFile(path, text))
+        return false;
+    LedgerReader reader(path, "coverage", coverageCsvVersion,
+                        {"cells_new", "cells_seen", "cells_total",
+                         "saturation_pct", "novelty_rate"});
+    reader.read(text, [&] {
+        CoverageLedger::Snapshot snap;
+        snap.generation = static_cast<int>(reader.integer("generation"));
+        snap.newCells = reader.count("cells_new");
+        snap.cellsSeen = reader.count("cells_seen");
+        snap.cellsTotal = reader.count("cells_total");
+        snap.saturationPct = reader.number("saturation_pct");
+        snap.noveltyRate = reader.number("novelty_rate");
+        for (int c = 0; c < isa::numInstrClasses; ++c)
+            snap.classes[c].seen = reader.count(
+                std::string("seen_") +
+                classToken(static_cast<isa::InstrClass>(c)));
+        out.push_back(snap);
+    });
+    return true;
 }
 
 std::string

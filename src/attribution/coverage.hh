@@ -132,6 +132,14 @@ std::string coverageCsvHeader(const CoverageLedger& ledger);
 /** @p snapshot as one coverage.csv line. */
 std::string formatCoverageCsvRow(const CoverageLedger::Snapshot& snapshot);
 
+/**
+ * Parse @p run_dir/coverage.csv into one snapshot per row (touches and
+ * class totals are not in the rows and stay 0). @return false when the
+ * file is absent; fatal() when it is malformed or a later schema.
+ */
+bool loadCoverage(const std::string& run_dir,
+                  std::vector<CoverageLedger::Snapshot>& out);
+
 /** Render @p snapshot as the /coverage JSON payload. */
 std::string formatCoverageJson(const CoverageLedger::Snapshot& snapshot);
 

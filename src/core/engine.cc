@@ -340,9 +340,13 @@ Engine::evaluatePopulation()
     if (record) {
         const double evalUs = stats::nowUs() - evalStart;
         engineStats().generationEvalUs.sample(evalUs);
-        engineStats().selectionUs.sample(_breedTiming.selectionUs);
-        engineStats().crossoverUs.sample(_breedTiming.crossoverUs);
-        engineStats().mutationUs.sample(_breedTiming.mutationUs);
+        // Generation 0 is seeded, not bred: no operator ran, so it
+        // adds no operator samples.
+        if (_population.generation > 0) {
+            engineStats().selectionUs.sample(_breedTiming.selectionUs);
+            engineStats().crossoverUs.sample(_breedTiming.crossoverUs);
+            engineStats().mutationUs.sample(_breedTiming.mutationUs);
+        }
         generationRecord.selectionMs = _breedTiming.selectionUs / 1000.0;
         generationRecord.crossoverMs = _breedTiming.crossoverUs / 1000.0;
         generationRecord.mutationMs = _breedTiming.mutationUs / 1000.0;

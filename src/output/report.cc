@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "isa/instr_class.hh"
+#include "output/run_writer.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
@@ -14,31 +15,26 @@
 namespace gest {
 namespace output {
 
-namespace {
-
-/** Column index by header name, or -1 when this file predates it. */
-int
-columnIndex(const std::vector<std::string>& header,
-            const std::string& name)
+void
+RunReport::add(const HistoryRow& row)
 {
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end()
-               ? -1
-               : static_cast<int>(it - header.begin());
+    if (rows.empty())
+        firstBest = row.bestFitness;
+    if (rows.empty() || row.bestFitness > bestFitness) {
+        bestFitness = row.bestFitness;
+        bestGeneration = row.generation;
+    }
+    finalAverage = row.averageFitness;
+    finalDiversity = row.diversity;
+    totalMeasured += row.cacheMisses;
+    totalCacheHits += row.cacheHits;
+    selectionMs += row.selectionMs;
+    crossoverMs += row.crossoverMs;
+    mutationMs += row.mutationMs;
+    evaluationMs += row.evaluationMs;
+    ioMs += row.ioMs;
+    rows.push_back(row);
 }
-
-double
-field(const std::vector<std::string>& fields, int index,
-      const std::string& what, int line)
-{
-    if (index < 0)
-        return 0.0;
-    return parseDouble(fields[static_cast<std::size_t>(index)],
-                       detail::concat(what, " (history.csv line ", line,
-                                      ")"));
-}
-
-} // namespace
 
 double
 RunReport::cacheHitRate() const
@@ -75,6 +71,30 @@ RunReport::tiledCycleFraction() const
                         : static_cast<double>(cyclesTiled) / total;
 }
 
+LedgerReader
+historyReader(const std::string& path)
+{
+    return LedgerReader(path, "history", historyCsvVersion);
+}
+
+HistoryRow
+readHistoryRow(const LedgerReader& history)
+{
+    HistoryRow row;
+    row.generation = static_cast<int>(history.integer("generation"));
+    row.bestFitness = history.number("best_fitness");
+    row.averageFitness = history.number("average_fitness");
+    row.diversity = history.number("diversity");
+    row.cacheHits = history.count("cache_hits");
+    row.cacheMisses = history.count("cache_misses");
+    row.selectionMs = history.number("selection_ms");
+    row.crossoverMs = history.number("crossover_ms");
+    row.mutationMs = history.number("mutation_ms");
+    row.evaluationMs = history.number("evaluation_ms");
+    row.ioMs = history.number("io_ms");
+    return row;
+}
+
 RunReport
 analyzeRun(const std::string& run_dir)
 {
@@ -90,106 +110,19 @@ analyzeRun(const std::string& run_dir)
 
     RunReport report;
     report.runDir = run_dir;
+    LedgerReader history = historyReader(path);
+    history.read(text, [&] { report.add(readHistoryRow(history)); });
+    if (history.version() > 0)
+        report.historyVersion = history.version();
+    report.hasTimings = history.column("evaluation_ms") >= 0;
 
-    std::vector<std::string> header;
-    int selection = -1, crossoverCol = -1, mutationCol = -1;
-    int evaluation = -1, io = -1;
-    int generation = -1, bestF = -1, avgF = -1, div = -1, hits = -1,
-        misses = -1;
-
-    int line_number = 0;
-    for (const std::string& raw : split(text, '\n')) {
-        ++line_number;
-        const std::string line = trim(raw);
-        if (line.empty())
-            continue;
-        if (line.front() == '#') {
-            // `# gest-history v<N>` — anything else is a plain comment.
-            const std::vector<std::string> words = splitWhitespace(line);
-            if (words.size() >= 2 && words[1] == "gest-history" &&
-                words.size() >= 3 && words[2].size() > 1 &&
-                words[2].front() == 'v') {
-                report.historyVersion = static_cast<int>(
-                    parseInt(words[2].substr(1), "history version"));
-            }
-            continue;
-        }
-        if (header.empty()) {
-            header = split(line, ',');
-            if (columnIndex(header, "generation") != 0)
-                fatal("'", path, "' does not look like a gest history "
-                      "file: expected a header starting with "
-                      "'generation', got '", line, "'");
-            generation = columnIndex(header, "generation");
-            bestF = columnIndex(header, "best_fitness");
-            avgF = columnIndex(header, "average_fitness");
-            div = columnIndex(header, "diversity");
-            hits = columnIndex(header, "cache_hits");
-            misses = columnIndex(header, "cache_misses");
-            selection = columnIndex(header, "selection_ms");
-            crossoverCol = columnIndex(header, "crossover_ms");
-            mutationCol = columnIndex(header, "mutation_ms");
-            evaluation = columnIndex(header, "evaluation_ms");
-            io = columnIndex(header, "io_ms");
-            report.hasTimings = evaluation >= 0;
-            continue;
-        }
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < header.size())
-            fatal("'", path, "' is truncated at line ", line_number,
-                  " (", fields.size(), " of ", header.size(),
-                  " columns): the run may have been interrupted "
-                  "mid-write; delete that line to summarize the "
-                  "completed generations");
-        HistoryRow row;
-        row.generation = static_cast<int>(
-            field(fields, generation, "generation", line_number));
-        row.bestFitness =
-            field(fields, bestF, "best_fitness", line_number);
-        row.averageFitness =
-            field(fields, avgF, "average_fitness", line_number);
-        row.diversity = field(fields, div, "diversity", line_number);
-        row.cacheHits = static_cast<std::uint64_t>(
-            field(fields, hits, "cache_hits", line_number));
-        row.cacheMisses = static_cast<std::uint64_t>(
-            field(fields, misses, "cache_misses", line_number));
-        row.selectionMs =
-            field(fields, selection, "selection_ms", line_number);
-        row.crossoverMs =
-            field(fields, crossoverCol, "crossover_ms", line_number);
-        row.mutationMs =
-            field(fields, mutationCol, "mutation_ms", line_number);
-        row.evaluationMs =
-            field(fields, evaluation, "evaluation_ms", line_number);
-        row.ioMs = field(fields, io, "io_ms", line_number);
-        report.rows.push_back(row);
-    }
-
-    if (header.empty())
+    if (!history.hasHeader())
         fatal("'", path, "' is empty — the run has not written its "
               "header yet (or the file was clobbered); rerun or wait "
               "for the first generation to complete");
     if (report.rows.empty())
         fatal("'", path, "' contains no generation rows yet — the run "
               "has not completed generation 0; retry once it has");
-
-    report.firstBest = report.rows.front().bestFitness;
-    report.finalAverage = report.rows.back().averageFitness;
-    report.finalDiversity = report.rows.back().diversity;
-    for (const HistoryRow& row : report.rows) {
-        if (row.bestFitness > report.bestFitness ||
-            &row == &report.rows.front()) {
-            report.bestFitness = row.bestFitness;
-            report.bestGeneration = row.generation;
-        }
-        report.totalMeasured += row.cacheMisses;
-        report.totalCacheHits += row.cacheHits;
-        report.selectionMs += row.selectionMs;
-        report.crossoverMs += row.crossoverMs;
-        report.mutationMs += row.mutationMs;
-        report.evaluationMs += row.evaluationMs;
-        report.ioMs += row.ioMs;
-    }
 
     std::vector<analysis::AnalyticsRow> analytics;
     if (analysis::tryLoadAnalytics(run_dir, analytics) &&
@@ -652,8 +585,8 @@ formatExplain(const ExplainReport& report)
         }
     } else {
         os << "instruction-mix trajectory: n/a — no analytics.csv in "
-              "this run directory (recorded by default; was the run "
-              "configured with <output analytics=\"false\"/>?)\n";
+              "this run directory (every run with an output directory "
+              "records one; this run predates the analytics ledger)\n";
     }
 
     if (report.pathologies.empty()) {

@@ -6,12 +6,11 @@
  * `report` works from `history.csv` alone, so it summarizes both
  * finished and in-flight runs (the RunWriter appends one complete row
  * per generation); when the run also recorded `analytics.csv` the
- * summary gains an evolution-analytics section. The parser is
- * header-driven and tolerant of version drift: v1 files (pre-timing
- * columns) report everything except the phase breakdown, and columns
- * appended by future versions are ignored. Malformed or truncated
- * files fatal() with an actionable message instead of crashing or
- * mis-summarizing. `--json` renders the same summary machine-readable.
+ * summary gains an evolution-analytics section. history.csv is read
+ * by the shared ledger reader (util/ledger.hh): v1 files (pre-timing
+ * columns) report everything except the phase breakdown, and
+ * malformed, truncated or newer-schema files fatal() with an
+ * actionable message instead of crashing or mis-summarizing. `--json` renders the same summary machine-readable.
  *
  * `explain` reads `lineage.csv` + `analytics.csv` and answers *why*
  * the GA got where it did: the champion's ancestry chain back to
@@ -30,6 +29,7 @@
 
 #include "analysis/analytics.hh"
 #include "analysis/lineage.hh"
+#include "util/ledger.hh"
 
 namespace gest {
 namespace output {
@@ -49,6 +49,15 @@ struct HistoryRow
     double evaluationMs = 0.0;
     double ioMs = 0.0;
 };
+
+/**
+ * The history.csv reader shared by analyzeRun and `gest top`'s file
+ * poller: versioned `# gest-history vN` (historyCsvVersion).
+ */
+LedgerReader historyReader(const std::string& path);
+
+/** The current row of a history.csv reader. */
+HistoryRow readHistoryRow(const LedgerReader& history);
 
 /** Everything `gest report` prints, in analyzable form. */
 struct RunReport
@@ -107,6 +116,9 @@ struct RunReport
     std::uint64_t steadyHits = 0;       ///< eval.steady_hits
     std::uint64_t cyclesSimulated = 0;  ///< eval.cycles_simulated
     std::uint64_t cyclesTiled = 0;      ///< eval.cycles_tiled
+
+    /** Append @p row and fold it into the trajectory and totals. */
+    void add(const HistoryRow& row);
 
     /** Cache hit rate in [0, 1]. */
     double cacheHitRate() const;

@@ -1,9 +1,7 @@
 #include "output/top.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "analysis/health.hh"
@@ -19,45 +17,17 @@ namespace output {
 
 namespace {
 
-/** Fill the /status-shaped fields of @p out from parsed JSON. */
-void
-applyStatus(const json::Value& status, TopSnapshot& out)
+/**
+ * Fill @p out's heartbeat from a status payload. @return false, with
+ * @p error set, when the payload is not a heartbeat.
+ */
+bool
+applyStatus(std::string_view text, TopSnapshot& out, std::string* error)
 {
-    out.gitSha = status.stringOr("git_sha", "");
-    out.build = status.stringOr("build", "");
-    if (const json::Value* alerts = status.find("alerts")) {
-        out.alertsRaised = static_cast<std::int64_t>(
-            alerts->numberOr("raised", 0.0));
-        out.lastAlertGeneration = static_cast<int>(
-            alerts->numberOr("last_generation", -1.0));
-        out.lastAlertRule = alerts->stringOr("last_rule", "");
-    }
-    out.state = status.stringOr("state", "unknown");
-    out.generation =
-        static_cast<int>(status.numberOr("generation", -1));
-    out.totalGenerations =
-        static_cast<int>(status.numberOr("total_generations", 0));
-    out.bestFitness = status.numberOr("best_fitness", 0.0);
-    out.averageFitness = status.numberOr("average_fitness", 0.0);
-    out.diversity = status.numberOr("diversity", 0.0);
-    out.evaluations = static_cast<std::uint64_t>(
-        status.numberOr("evaluations", 0.0));
-    out.cacheHitRate = status.numberOr("cache_hit_rate", 0.0);
-    out.evalsPerSec = status.numberOr("evals_per_sec", 0.0);
-    out.elapsedSeconds = status.numberOr("elapsed_seconds", 0.0);
-    out.etaSeconds = status.numberOr("eta_seconds", 0.0);
-    out.steadyHits = static_cast<std::uint64_t>(
-        status.numberOr("steady_hits", 0.0));
-    out.simEvaluations = static_cast<std::uint64_t>(
-        status.numberOr("sim_evaluations", 0.0));
-    out.cyclesSimulated = static_cast<std::uint64_t>(
-        status.numberOr("cycles_simulated", 0.0));
-    out.cyclesTiled = static_cast<std::uint64_t>(
-        status.numberOr("cycles_tiled", 0.0));
-    // Negative sentinels survive missing keys.
-    out.geneEntropyBits = status.numberOr("gene_entropy_bits", -1.0);
-    out.pairwiseDiversity =
-        status.numberOr("pairwise_diversity", -1.0);
+    if (!analysis::parseStatusJson(text, out.status, error))
+        return false;
+    out.state = out.status.running ? "running" : "completed";
+    return true;
 }
 
 /** Fill the coverage fields of @p out from parsed /coverage JSON. */
@@ -69,60 +39,32 @@ applyCoverage(const json::Value& coverage, TopSnapshot& out)
     if (total == 0)
         return;  // pre-generation placeholder
     out.hasCoverage = true;
-    out.coverageCellsTotal = total;
-    out.coverageCellsSeen = static_cast<std::uint64_t>(
+    out.coverage.cellsTotal = total;
+    out.coverage.cellsSeen = static_cast<std::uint64_t>(
         coverage.numberOr("cells_seen", 0.0));
-    out.coverageNewCells = static_cast<std::uint64_t>(
+    out.coverage.newCells = static_cast<std::uint64_t>(
         coverage.numberOr("cells_new", 0.0));
-    out.coverageSaturationPct =
+    out.coverage.saturationPct =
         coverage.numberOr("saturation_pct", 0.0);
-    out.coverageNoveltyRate = coverage.numberOr("novelty_rate", 0.0);
+    out.coverage.noveltyRate = coverage.numberOr("novelty_rate", 0.0);
 }
 
 /**
  * Fill the coverage fields of @p out from @p run_dir's coverage.csv
- * (last data row), when the run recorded one.
+ * (last row), when the run recorded a readable one.
  */
 void
 loadCoverageCsv(const std::string& run_dir, TopSnapshot& out)
 {
-    std::string text;
-    if (!tryReadFile(run_dir + "/coverage.csv", text))
-        return;
-
-    // Map the header row's columns, then keep the last data row.
-    std::vector<std::string> header;
-    std::vector<std::string> last;
-    for (const std::string& line : split(text, '\n')) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (header.empty())
-            header = split(line, ',');
-        else
-            last = split(line, ',');
+    std::vector<attribution::CoverageLedger::Snapshot> rows;
+    try {
+        if (!attribution::loadCoverage(run_dir, rows) || rows.empty())
+            return;
+    } catch (const FatalError&) {
+        return;  // a sick ledger must not take the dashboard down
     }
-    if (header.empty() || last.size() != header.size())
-        return;
-    auto field = [&](const char* name) -> std::string {
-        for (std::size_t i = 0; i < header.size(); ++i) {
-            if (header[i] == name)
-                return last[i];
-        }
-        return "";
-    };
-    const std::string total = field("cells_total");
-    if (total.empty())
-        return;
     out.hasCoverage = true;
-    out.coverageCellsTotal = std::strtoull(total.c_str(), nullptr, 10);
-    out.coverageCellsSeen =
-        std::strtoull(field("cells_seen").c_str(), nullptr, 10);
-    out.coverageNewCells =
-        std::strtoull(field("cells_new").c_str(), nullptr, 10);
-    out.coverageSaturationPct =
-        std::strtod(field("saturation_pct").c_str(), nullptr);
-    out.coverageNoveltyRate =
-        std::strtod(field("novelty_rate").c_str(), nullptr);
+    out.coverage = rows.back();
 }
 
 /** An alert as one dashboard pane line. */
@@ -145,10 +87,10 @@ loadAlertsCsv(const std::string& run_dir, TopSnapshot& out)
     } catch (const FatalError&) {
         return;  // a sick ledger must not take the dashboard down
     }
-    out.alertsRaised = static_cast<std::int64_t>(alerts.size());
+    out.status.alertsRaised = static_cast<std::int64_t>(alerts.size());
     if (!alerts.empty()) {
-        out.lastAlertGeneration = alerts.back().generation;
-        out.lastAlertRule = alerts.back().rule;
+        out.status.lastAlertGeneration = alerts.back().generation;
+        out.status.lastAlertRule = alerts.back().rule;
     }
     const std::size_t first = alerts.size() > 3 ? alerts.size() - 3 : 0;
     for (std::size_t i = first; i < alerts.size(); ++i)
@@ -197,13 +139,11 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
                         : status_res.error;
         return false;
     }
-    json::Value status;
     std::string parse_error;
-    if (!json::parse(status_res.body, status, &parse_error)) {
-        out.error = "/status is not valid JSON: " + parse_error;
+    if (!applyStatus(status_res.body, out, &parse_error)) {
+        out.error = "/status is " + parse_error;
         return false;
     }
-    applyStatus(status, out);
 
     const net::HttpResult history_res = net::httpGet(base + "/history");
     if (history_res.ok && history_res.status == 200) {
@@ -231,7 +171,7 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
                              m, "gest_engine_mutation_us_sum", 0.0) /
                          1e3;
         out.workerBusyFrac =
-            workerBusyFromMetrics(m, out.elapsedSeconds);
+            workerBusyFromMetrics(m, out.status.elapsedSeconds);
     }
 
     const net::HttpResult coverage_res =
@@ -252,7 +192,7 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
             // authority on watched-vs-not, so an empty array does not
             // flip the -1 sentinel on its own.
             if (!alerts.array.empty())
-                out.alertsRaised =
+                out.status.alertsRaised =
                     static_cast<std::int64_t>(alerts.array.size());
             const std::size_t first =
                 alerts.array.size() > 3 ? alerts.array.size() - 3 : 0;
@@ -269,79 +209,17 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
     return true;
 }
 
+TopSnapshot::TopSnapshot()
+{
+    status.generation = -1;
+    status.geneEntropyBits = -1.0;
+    status.pairwiseDiversity = -1.0;
+}
+
 TopFilePoller::TopFilePoller(std::string run_dir)
-    : _runDir(std::move(run_dir))
+    : _runDir(std::move(run_dir)),
+      _history(historyReader(_runDir + "/history.csv"))
 {}
-
-void
-TopFilePoller::reset()
-{
-    _offset = 0;
-    _carry.clear();
-    _columns.clear();
-    _sawRow = false;
-    _lastGeneration = -1;
-    _lastAverage = 0.0;
-    _lastDiversity = 0.0;
-    _best = 0.0;
-    _trajectory.clear();
-    _hits = 0;
-    _misses = 0;
-    _selectionMs = 0.0;
-    _crossoverMs = 0.0;
-    _mutationMs = 0.0;
-    _evaluationMs = 0.0;
-}
-
-void
-TopFilePoller::ingestLine(const std::string& line)
-{
-    if (line.empty() || line[0] == '#')
-        return;
-    if (_columns.empty()) {
-        _columns = split(line, ',');
-        return;
-    }
-    const std::vector<std::string> cells = split(line, ',');
-    // Skip malformed rows instead of failing: the poller can race the
-    // run's writer, and the next refresh sees the repaired tail.
-    if (cells.size() < _columns.size())
-        return;
-    auto cell = [&](const char* name) -> const char* {
-        for (std::size_t i = 0; i < _columns.size(); ++i) {
-            if (_columns[i] == name)
-                return cells[i].c_str();
-        }
-        return nullptr;
-    };
-    const char* generation = cell("generation");
-    const char* best = cell("best_fitness");
-    if (generation == nullptr || best == nullptr)
-        return;
-
-    const double best_fitness = std::strtod(best, nullptr);
-    _lastGeneration =
-        static_cast<int>(std::strtol(generation, nullptr, 10));
-    _trajectory.push_back(best_fitness);
-    _best = _sawRow ? std::max(_best, best_fitness) : best_fitness;
-    _sawRow = true;
-    if (const char* v = cell("average_fitness"))
-        _lastAverage = std::strtod(v, nullptr);
-    if (const char* v = cell("diversity"))
-        _lastDiversity = std::strtod(v, nullptr);
-    if (const char* v = cell("cache_hits"))
-        _hits += std::strtoull(v, nullptr, 10);
-    if (const char* v = cell("cache_misses"))
-        _misses += std::strtoull(v, nullptr, 10);
-    if (const char* v = cell("selection_ms"))
-        _selectionMs += std::strtod(v, nullptr);
-    if (const char* v = cell("crossover_ms"))
-        _crossoverMs += std::strtod(v, nullptr);
-    if (const char* v = cell("mutation_ms"))
-        _mutationMs += std::strtod(v, nullptr);
-    if (const char* v = cell("evaluation_ms"))
-        _evaluationMs += std::strtod(v, nullptr);
-}
 
 bool
 TopFilePoller::poll(TopSnapshot& out)
@@ -358,14 +236,14 @@ TopFilePoller::poll(TopSnapshot& out)
                 "run directory '" + _runDir + "' does not exist";
             return false;
         }
-        reset();
+        *this = TopFilePoller(_runDir);
         out.state = "waiting for first generation";
         return true;
     }
     const std::uint64_t size =
         static_cast<std::uint64_t>(in.tellg());
     if (size < _offset)
-        reset();  // truncated or replaced: re-parse from the top
+        *this = TopFilePoller(_runDir);  // truncated or replaced
     if (size > _offset) {
         in.seekg(static_cast<std::streamoff>(_offset));
         std::string chunk(static_cast<std::size_t>(size - _offset),
@@ -378,41 +256,44 @@ TopFilePoller::poll(TopSnapshot& out)
         std::size_t start = 0;
         for (std::size_t nl = _carry.find('\n');
              nl != std::string::npos; nl = _carry.find('\n', start)) {
-            ingestLine(_carry.substr(start, nl - start));
+            // A line the reader rejects is skipped: a sick ledger must
+            // not take the dashboard down.
+            try {
+                if (_history.feed(std::string_view(_carry).substr(
+                        start, nl - start))) {
+                    _report.hasTimings =
+                        _history.column("evaluation_ms") >= 0;
+                    _report.add(readHistoryRow(_history));
+                }
+            } catch (const FatalError&) {
+            }
             start = nl + 1;
         }
         _carry.erase(0, start);
     }
-    if (!_sawRow) {
+    if (_report.rows.empty()) {
         out.state = "waiting for first generation";
         return true;
     }
 
-    out.generation = _lastGeneration;
-    out.bestFitness = _best;
-    out.averageFitness = _lastAverage;
-    out.diversity = _lastDiversity;
-    out.bestTrajectory = _trajectory;
-    out.evaluations = _misses;
-    const std::uint64_t resolved = _hits + _misses;
-    out.cacheHitRate =
-        resolved > 0 ? static_cast<double>(_hits) /
-                           static_cast<double>(resolved)
-                     : 0.0;
-    out.evalsPerSec = _evaluationMs > 0.0
-                          ? static_cast<double>(_misses) /
-                                (_evaluationMs / 1e3)
-                          : 0.0;
-    out.selectionMs = _selectionMs;
-    out.crossoverMs = _crossoverMs;
-    out.mutationMs = _mutationMs;
-    out.evaluationMs = _evaluationMs;
+    analysis::StatusSnapshot& status = out.status;
+    status.generation = _report.rows.back().generation;
+    status.bestFitness = _report.bestFitness;
+    status.averageFitness = _report.finalAverage;
+    status.diversity = _report.finalDiversity;
+    status.evaluations = _report.totalMeasured;
+    status.cacheHitRate = _report.cacheHitRate();
+    status.evalsPerSec = _report.evaluationsPerSecond();
+    for (const HistoryRow& row : _report.rows)
+        out.bestTrajectory.push_back(row.bestFitness);
+    out.selectionMs = _report.selectionMs;
+    out.crossoverMs = _report.crossoverMs;
+    out.mutationMs = _report.mutationMs;
+    out.evaluationMs = _report.evaluationMs;
 
     std::string status_text;
-    json::Value status;
-    if (tryReadFile(_runDir + "/status.json", status_text) &&
-        json::parse(status_text, status, nullptr))
-        applyStatus(status, out);
+    if (tryReadFile(_runDir + "/status.json", status_text))
+        applyStatus(status_text, out, nullptr);
     loadCoverageCsv(_runDir, out);
     loadAlertsCsv(_runDir, out);
     return true;
@@ -457,15 +338,16 @@ sparkline(const std::vector<double>& values, std::size_t width)
 std::string
 renderTop(const TopSnapshot& snapshot)
 {
+    const analysis::StatusSnapshot& status = snapshot.status;
     char line[256];
     std::string out;
     out += "gest top — " + snapshot.source +
            (snapshot.live ? " (live)" : " (files)");
-    if (!snapshot.gitSha.empty() && snapshot.gitSha != "unknown")
-        out += "   git " + snapshot.gitSha.substr(0, 12);
+    if (!status.gitSha.empty() && status.gitSha != "unknown")
+        out += "   git " + status.gitSha.substr(0, 12);
     out += "\n";
-    if (!snapshot.build.empty())
-        out += "build " + snapshot.build + "\n";
+    if (!status.build.empty())
+        out += "build " + status.build + "\n";
     if (!snapshot.error.empty()) {
         out += "error: " + snapshot.error + "\n";
         return out;
@@ -479,26 +361,26 @@ renderTop(const TopSnapshot& snapshot)
 
     std::snprintf(line, sizeof(line),
                   "state %-10s gen %d/%d   elapsed %.1fs   eta %.1fs\n",
-                  snapshot.state.c_str(), snapshot.generation,
-                  snapshot.totalGenerations, snapshot.elapsedSeconds,
-                  snapshot.etaSeconds);
+                  snapshot.state.c_str(), status.generation,
+                  status.totalGenerations, status.elapsedSeconds,
+                  status.etaSeconds);
     out += line;
     std::snprintf(line, sizeof(line),
                   "best %.6f   avg %.6f   diversity %.3f\n",
-                  snapshot.bestFitness, snapshot.averageFitness,
-                  snapshot.diversity);
+                  status.bestFitness, status.averageFitness,
+                  status.diversity);
     out += line;
     // Analytics-derived measures: "n/a" — not a fake 0 — when the run
     // records no analytics (negative sentinel).
-    if (snapshot.geneEntropyBits >= 0.0)
+    if (status.geneEntropyBits >= 0.0)
         std::snprintf(line, sizeof(line), "entropy %.2f bits   ",
-                      snapshot.geneEntropyBits);
+                      status.geneEntropyBits);
     else
         std::snprintf(line, sizeof(line), "entropy n/a   ");
     out += line;
-    if (snapshot.pairwiseDiversity >= 0.0)
+    if (status.pairwiseDiversity >= 0.0)
         std::snprintf(line, sizeof(line), "pairwise diversity %.3f\n",
-                      snapshot.pairwiseDiversity);
+                      status.pairwiseDiversity);
     else
         std::snprintf(line, sizeof(line), "pairwise diversity n/a\n");
     out += line;
@@ -508,21 +390,21 @@ renderTop(const TopSnapshot& snapshot)
     }
     std::snprintf(line, sizeof(line),
                   "evals %llu (%.1f/s)   cache hits %.1f%%",
-                  static_cast<unsigned long long>(snapshot.evaluations),
-                  snapshot.evalsPerSec, 100.0 * snapshot.cacheHitRate);
+                  static_cast<unsigned long long>(status.evaluations),
+                  status.evalsPerSec, 100.0 * status.cacheHitRate);
     out += line;
-    if (snapshot.simEvaluations > 0) {
+    if (status.simEvaluations > 0) {
         std::snprintf(
             line, sizeof(line), "   steady hits %.1f%%",
-            100.0 * static_cast<double>(snapshot.steadyHits) /
-                static_cast<double>(snapshot.simEvaluations));
+            100.0 * static_cast<double>(status.steadyHits) /
+                static_cast<double>(status.simEvaluations));
         out += line;
     }
     const std::uint64_t cycles =
-        snapshot.cyclesSimulated + snapshot.cyclesTiled;
+        status.cyclesSimulated + status.cyclesTiled;
     if (cycles > 0) {
         std::snprintf(line, sizeof(line), "   tiled cycles %.1f%%",
-                      100.0 * static_cast<double>(snapshot.cyclesTiled) /
+                      100.0 * static_cast<double>(status.cyclesTiled) /
                           static_cast<double>(cycles));
         out += line;
     }
@@ -533,12 +415,12 @@ renderTop(const TopSnapshot& snapshot)
             line, sizeof(line),
             "coverage %llu/%llu cells (%.1f%%)   new this gen %llu   "
             "novelty %.2f\n",
-            static_cast<unsigned long long>(snapshot.coverageCellsSeen),
+            static_cast<unsigned long long>(snapshot.coverage.cellsSeen),
             static_cast<unsigned long long>(
-                snapshot.coverageCellsTotal),
-            snapshot.coverageSaturationPct,
-            static_cast<unsigned long long>(snapshot.coverageNewCells),
-            snapshot.coverageNoveltyRate);
+                snapshot.coverage.cellsTotal),
+            snapshot.coverage.saturationPct,
+            static_cast<unsigned long long>(snapshot.coverage.newCells),
+            snapshot.coverage.noveltyRate);
         out += line;
     }
 
@@ -567,16 +449,16 @@ renderTop(const TopSnapshot& snapshot)
 
     // Alerts pane: hidden for unwatched runs; a watched clean run says
     // so explicitly ("none" is information, absence is not).
-    if (snapshot.alertsRaised == 0) {
+    if (status.alertsRaised == 0) {
         out += "alerts none\n";
-    } else if (snapshot.alertsRaised > 0) {
+    } else if (status.alertsRaised > 0) {
         std::snprintf(
             line, sizeof(line), "alerts %lld (last: %s @ gen %d)\n",
-            static_cast<long long>(snapshot.alertsRaised),
-            snapshot.lastAlertRule.empty()
+            static_cast<long long>(status.alertsRaised),
+            status.lastAlertRule.empty()
                 ? "?"
-                : snapshot.lastAlertRule.c_str(),
-            snapshot.lastAlertGeneration);
+                : status.lastAlertRule.c_str(),
+            status.lastAlertGeneration);
         out += line;
         for (const std::string& alert : snapshot.alertLines)
             out += "  " + alert + "\n";

@@ -15,51 +15,43 @@
 #include <string>
 #include <vector>
 
+#include "analysis/snapshot.hh"
+#include "output/report.hh"
+
 namespace gest {
 namespace output {
 
 /** Everything one `gest top` refresh displays. */
 struct TopSnapshot
 {
+    TopSnapshot();
+
     /** true: scraped over HTTP; false: read from run-dir files. */
     bool live = false;
 
     /** The URL or run directory the snapshot came from. */
     std::string source;
 
-    std::string state = "unknown";  ///< "running" or "completed"
-    int generation = -1;
-    int totalGenerations = 0;
+    /**
+     * "running" or "completed" from the heartbeat; "unknown" without
+     * one; "waiting for first generation" before history.csv has a row.
+     */
+    std::string state = "unknown";
 
-    double bestFitness = 0.0;
-    double averageFitness = 0.0;
-    double diversity = 0.0;
+    /**
+     * The heartbeat (GET /status, or status.json), read with
+     * analysis::parseStatusJson. In file mode the history.csv fields
+     * (generation, fitness, diversity, evaluations, rates) are filled
+     * from history.csv first, and the alerts summary comes from
+     * alerts.csv. Absent analytics measures stay negative, rendered
+     * "n/a" rather than a misleading 0; alertsRaised = -1 hides the
+     * alerts pane of an unwatched run.
+     */
+    analysis::StatusSnapshot status;
 
-    // Population analytics (negative: absent from the status →
-    // rendered "n/a", never a misleading 0).
-    double geneEntropyBits = -1.0;
-    double pairwiseDiversity = -1.0;
-
-    // Search-space coverage (valid only when hasCoverage; filled from
-    // /coverage live or coverage.csv's last row from files).
+    /** Search-space coverage, from /coverage or coverage.csv. */
     bool hasCoverage = false;
-    std::uint64_t coverageCellsSeen = 0;
-    std::uint64_t coverageCellsTotal = 0;
-    std::uint64_t coverageNewCells = 0;
-    double coverageSaturationPct = 0.0;
-    double coverageNoveltyRate = 0.0;
-
-    std::uint64_t evaluations = 0;
-    double cacheHitRate = 0.0;  ///< [0, 1]
-    double evalsPerSec = 0.0;
-    double elapsedSeconds = 0.0;
-    double etaSeconds = 0.0;
-
-    // Steady-state fast path (zero when stats were off).
-    std::uint64_t steadyHits = 0;
-    std::uint64_t cyclesSimulated = 0;
-    std::uint64_t cyclesTiled = 0;
-    std::uint64_t simEvaluations = 0;
+    attribution::CoverageLedger::Snapshot coverage;
 
     /** best_fitness per generation, for the sparkline. */
     std::vector<double> bestTrajectory;
@@ -73,19 +65,8 @@ struct TopSnapshot
     /** Busy fraction per evaluation worker, [0, 1]; may be empty. */
     std::vector<double> workerBusyFrac;
 
-    /**
-     * Health-watchdog alerts: -1 when the run is unwatched (pane
-     * hidden), 0 for a watched clean run ("alerts none"). alertLines
-     * holds the most recent alerts, already human-formatted.
-     */
-    std::int64_t alertsRaised = -1;
-    int lastAlertGeneration = -1;
-    std::string lastAlertRule;
+    /** The most recent health alerts, already human-formatted. */
     std::vector<std::string> alertLines;
-
-    /** Build identity of the serving binary (from /status; may be ""). */
-    std::string gitSha;
-    std::string build;
 
     /** Non-empty when collection failed; other fields are unusable. */
     std::string error;
@@ -103,12 +84,12 @@ bool fetchTopSnapshot(const std::string& url, TopSnapshot& out);
  * loop: builds the same snapshot from the run directory's files
  * (history.csv, status.json, coverage.csv, alerts.csv), for runs
  * without --listen. It remembers its byte offset into history.csv and
- * parses only the bytes appended since the last poll (a partial
- * trailing line is carried until its newline arrives; a file that
- * shrank — truncated or replaced — resets the parse from offset 0), so
- * each refresh costs O(new generations). status.json, coverage.csv and
- * alerts.csv stay whole-file reads: they are bounded-size snapshots,
- * not append-only logs.
+ * feeds the shared history reader only the lines appended since the
+ * last poll (a partial trailing line is carried until its newline
+ * arrives; a file that shrank — truncated or replaced — resets the
+ * parse from offset 0), so each refresh costs O(new generations).
+ * status.json, coverage.csv and alerts.csv stay whole-file reads: they
+ * are bounded-size snapshots, not append-only logs.
  */
 class TopFilePoller
 {
@@ -117,34 +98,19 @@ class TopFilePoller
 
     /**
      * Refresh @p out from the run directory. @return false with
-     * snapshot.error set when the directory does not exist; malformed
-     * history rows are skipped (the poller may observe a live file
-     * mid-write).
+     * snapshot.error set when the directory does not exist. A sick
+     * ledger never takes the dashboard down: history lines the reader
+     * rejects are skipped, and an unreadable coverage.csv or alerts.csv
+     * leaves its pane empty.
      */
     bool poll(TopSnapshot& out);
 
   private:
-    void reset();
-    void ingestLine(const std::string& line);
-
     std::string _runDir;
+    LedgerReader _history;
     std::uint64_t _offset = 0;  ///< history.csv bytes consumed
     std::string _carry;         ///< partial line awaiting its newline
-    std::vector<std::string> _columns;  ///< header → cell mapping
-
-    // Aggregates over every ingested row.
-    bool _sawRow = false;
-    int _lastGeneration = -1;
-    double _lastAverage = 0.0;
-    double _lastDiversity = 0.0;
-    double _best = 0.0;
-    std::vector<double> _trajectory;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
-    double _selectionMs = 0.0;
-    double _crossoverMs = 0.0;
-    double _mutationMs = 0.0;
-    double _evaluationMs = 0.0;
+    RunReport _report;          ///< the rows ingested so far
 };
 
 /**

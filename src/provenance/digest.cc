@@ -5,9 +5,9 @@
 
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
+#include "util/ledger.hh"
 #include "util/logging.hh"
 #include "util/sha256.hh"
-#include "util/strutil.hh"
 
 namespace gest {
 namespace provenance {
@@ -89,24 +89,24 @@ loadDigests(const std::string& run_dir, std::vector<DigestRow>& out,
                             "provenance (or by a pre-provenance build)";
         return false;
     }
-    for (const std::string& raw : split(text, '\n')) {
-        const std::string line = trim(raw);
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (startsWith(line, "generation,"))
-            continue;
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < 3 || fields[2].size() != 64) {
-            if (error)
-                *error = path + " has a malformed row: '" + line + "'";
-            return false;
-        }
-        DigestRow row;
-        row.generation =
-            static_cast<int>(parseInt(fields[0], "digest generation"));
-        row.bestFitness = parseDouble(fields[1], "digest best_fitness");
-        row.digest = fields[2];
-        out.push_back(std::move(row));
+    try {
+        LedgerReader reader(path, "digests", digestsCsvVersion,
+                            {"best_fitness", "population_digest"});
+        reader.read(text, [&] {
+            DigestRow row;
+            row.generation = static_cast<int>(reader.integer("generation"));
+            row.bestFitness = reader.number("best_fitness");
+            row.digest = reader.text("population_digest");
+            if (row.digest.size() != 64)
+                reader.fail("population_digest '" + row.digest +
+                            "' is not a 64-digit SHA-256");
+            out.push_back(std::move(row));
+        });
+    } catch (const FatalError& err) {
+        out.clear();
+        if (error)
+            *error = err.what();
+        return false;
     }
     if (out.empty()) {
         if (error)

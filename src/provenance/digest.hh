@@ -96,7 +96,8 @@ std::string formatDigestRow(int generation, double best_fitness,
 
 /**
  * Parse `<run_dir>/digests.csv`. @return false — with @p error set —
- * when the file is absent, has no rows, or is malformed.
+ * when the file is absent, has no rows, is malformed or is a later
+ * schema version; never fatal().
  */
 bool loadDigests(const std::string& run_dir, std::vector<DigestRow>& out,
                  std::string* error);

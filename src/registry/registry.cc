@@ -5,11 +5,11 @@
 #include <cstdio>
 
 #include "analysis/health.hh"
+#include "analysis/snapshot.hh"
 #include "output/report.hh"
 #include "provenance/manifest.hh"
 #include "stats/resample.hh"
 #include "util/fileutil.hh"
-#include "util/jsonlite.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -43,26 +43,21 @@ fitnessString(double v)
     return buf;
 }
 
-/** Fill @p entry from the run's status.json, when present/parseable. */
+/** Fill @p entry from the run's status.json, when it holds a heartbeat. */
 void
 applyStatusJson(const std::string& run_dir, RunEntry& entry)
 {
     std::string text;
-    if (!tryReadFile(run_dir + "/status.json", text))
+    analysis::StatusSnapshot status;
+    if (!tryReadFile(run_dir + "/status.json", text) ||
+        !analysis::parseStatusJson(text, status, nullptr))
         return;
-    json::Value status;
-    if (!json::parse(text, status, nullptr))
-        return;
-    const std::string state = status.stringOr("state", "");
-    if (!state.empty())
-        entry.state = state;
-    entry.listen = status.stringOr("listen", "");
+    entry.state = status.running ? "running" : "completed";
+    entry.listen = status.listen;
     if (entry.generations == 0)
-        entry.generations = static_cast<int>(
-            status.numberOr("total_generations", 0.0));
-    const std::string sha = status.stringOr("git_sha", "");
-    if (entry.gitSha.empty() && !sha.empty())
-        entry.gitSha = sha;
+        entry.generations = status.totalGenerations;
+    if (entry.gitSha.empty() && !status.gitSha.empty())
+        entry.gitSha = status.gitSha;
 }
 
 /** Count alerts.csv data rows; tolerate absent/malformed ledgers. */

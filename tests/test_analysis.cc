@@ -386,6 +386,19 @@ TEST(Ancestry, EmptyLedgerFatals)
     EXPECT_THROW(championAncestry({}), FatalError);
 }
 
+TEST(Ancestry, SelfParentedBirthEndsTheDescentLine)
+{
+    // A corrupt ledger whose only birth names itself as its parent: the
+    // descent line must stop instead of following the loop forever.
+    const std::vector<LineageEvent> events = parseLineage(
+        "generation,id,op,parent1,parent2,mutated_genes,"
+        "mutated_indices,fitness\n"
+        "0,1,crossover,1,1,0,,1.0\n");
+    const Ancestry anc = championAncestry(events);
+    EXPECT_EQ(anc.chain, (std::vector<std::size_t>{0}));
+    EXPECT_EQ(anc.ancestorCount, 1u);
+}
+
 // -------------------------------------------- pipeline on a real run
 
 /** A run configuration deploying only the run directory @p dir. */

@@ -598,8 +598,8 @@ TEST(Top, FetchesASnapshotFromALiveServer)
                                          snapshot))
         << snapshot.error;
     EXPECT_TRUE(snapshot.live);
-    EXPECT_EQ(snapshot.generation, 3);
-    EXPECT_EQ(snapshot.totalGenerations, 4);
+    EXPECT_EQ(snapshot.status.generation, 3);
+    EXPECT_EQ(snapshot.status.totalGenerations, 4);
     EXPECT_EQ(snapshot.bestTrajectory.size(), 4u);
     const std::string frame = output::renderTop(snapshot);
     EXPECT_NE(frame.find("gen 3/4"), std::string::npos) << frame;
@@ -638,7 +638,7 @@ TEST(Top, FileAndLiveSnapshotsShowTheSameSteadyShare)
     output::TopSnapshot files;
     output::TopFilePoller poller(dir);
     ASSERT_TRUE(poller.poll(files)) << files.error;
-    EXPECT_GT(files.simEvaluations, 0u);
+    EXPECT_GT(files.status.simEvaluations, 0u);
 
     auto steadyLine = [](const std::string& frame) {
         const std::size_t at = frame.find("steady hits");

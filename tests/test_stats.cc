@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config/config.hh"
 #include "output/report.hh"
 #include "output/trace_writer.hh"
 #include "stats/stats.hh"
@@ -398,6 +399,31 @@ jsonUnescape(const std::string& s)
         }
     }
     return out;
+}
+
+TEST_F(StatsTest, OperatorHistogramsSampleOnlyBredGenerations)
+{
+    // Generation 0 is seeded, not bred: a 10-generation run evaluates
+    // 10 generations but runs selection, crossover and mutation for 9.
+    const config::RunConfig cfg = config::parseConfig(R"(
+<gest_configuration>
+  <ga population_size="6" individual_size="6" generations="10" seed="5"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a15" min_cycles="256"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+</gest_configuration>
+)");
+    ASSERT_TRUE(cfg.recordStats);
+    const config::RunResult result = config::runFromConfig(cfg);
+    ASSERT_EQ(result.history.size(), 10u);
+
+    stats::StatsRegistry& reg = stats::StatsRegistry::instance();
+    EXPECT_EQ(reg.histogram("engine.generation_eval_us", "").count(), 10u);
+    for (const char* name : {"engine.selection_us", "engine.crossover_us",
+                             "engine.mutation_us"})
+        EXPECT_EQ(reg.histogram(name, "").count(), 9u) << name;
 }
 
 TEST(JsonEscape, RoundTripsQuotesNewlinesAndControlChars)

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "util/fileutil.hh"
+#include "util/ledger.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/strutil.hh"
@@ -260,6 +261,75 @@ TEST(Random, SplitProducesIndependentStream)
     for (int i = 0; i < 64; ++i)
         same += rng.next() == child.next();
     EXPECT_LT(same, 4);
+}
+
+// ---------------------------------------------------------------------
+// The run-directory ledger reader.
+
+/** The fatal() message reading @p text raises, or "" when none. */
+std::string
+ledgerError(const std::string& text, std::vector<std::string> required = {})
+{
+    LedgerReader reader("run/x.csv", "x", 2, std::move(required));
+    try {
+        reader.read(text, [&] { reader.number("value"); });
+    } catch (const FatalError& err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(LedgerReader, MapsColumnsByNameAndReadsCrlf)
+{
+    LedgerReader reader("run/x.csv", "x", 2);
+    std::vector<double> values;
+    std::vector<std::string> names;
+    reader.read("# gest-x v2\r\n# a comment\r\n\r\n"
+                "generation,value,name\r\n0,1.5,a\r\n1,-2,b\r\n",
+                [&] {
+                    values.push_back(reader.number("value"));
+                    names.push_back(reader.text("name"));
+                    EXPECT_EQ(reader.column("later"), -1);
+                    EXPECT_EQ(reader.number("later"), 0.0);
+                    EXPECT_EQ(reader.text("later"), "");
+                });
+    EXPECT_EQ(reader.version(), 2);
+    EXPECT_EQ(values, (std::vector<double>{1.5, -2.0}));
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(reader.column("name"), 2);
+
+    // An older file without a schema line reads, with version 0.
+    LedgerReader old("run/x.csv", "x", 2);
+    EXPECT_FALSE(old.feed("generation,value"));
+    EXPECT_TRUE(old.feed("3,4"));
+    EXPECT_EQ(old.version(), 0);
+    EXPECT_EQ(old.integer("generation"), 3);
+    EXPECT_EQ(old.count("value"), 4u);
+}
+
+TEST(LedgerReader, RejectsWithMessagesNamingFileAndLine)
+{
+    EXPECT_EQ(ledgerError("# gest-x v1\ngeneration,value\n0,1\n"), "");
+    EXPECT_EQ(ledgerError("# gest-y v9\ngeneration,value\n"), "");
+
+    const std::string newer = ledgerError("# gest-x v3\ngeneration\n");
+    EXPECT_NE(newer.find("'run/x.csv'"), std::string::npos) << newer;
+    EXPECT_NE(newer.find("v3"), std::string::npos) << newer;
+    EXPECT_NE(newer.find("v2"), std::string::npos) << newer;
+
+    EXPECT_NE(ledgerError("time,value\n").find("'generation'"),
+              std::string::npos);
+    EXPECT_NE(ledgerError("generation,value\n", {"name"}).find("'name'"),
+              std::string::npos);
+    EXPECT_NE(ledgerError("generation,value\n0\n").find(
+                  "truncated at line 2"),
+              std::string::npos);
+    const std::string bad = ledgerError("generation,value\n0,abc\n");
+    EXPECT_NE(bad.find("'abc'"), std::string::npos) << bad;
+    EXPECT_NE(bad.find("value ('run/x.csv' line 2)"), std::string::npos)
+        << bad;
+    EXPECT_NE(ledgerError("# gest-x vq\n").find("schema version"),
+              std::string::npos);
 }
 
 } // namespace

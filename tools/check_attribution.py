@@ -42,13 +42,12 @@ Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 import time
 
 import checklib
-from checklib import ServerGone, fail, get_json, run_gest, wait_for_listen
+from checklib import ServerGone, fail, get_json, run_gest, running_gest
 
 TOLERANCE = 1e-9
 
@@ -296,26 +295,21 @@ def drive(gest_binary):
         config = os.path.join(work, "config.xml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(DRIVE_CONFIG)
-        process = subprocess.Popen(
-            [gest_binary, "run", config, "--quiet"], cwd=work,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            out = os.path.join(work, "out")
-            listen = wait_for_listen(process,
-                                     os.path.join(out, "status.json"))
-
+        out = os.path.join(work, "out")
+        with running_gest(gest_binary, config, work,
+                          os.path.join(out, "status.json")) as run:
             # /coverage must render live while the run is in flight.
             live_passes = 0
             last_seen = 0
-            while process.poll() is None and live_passes < 10:
+            while run.alive() and live_passes < 10:
                 try:
-                    doc = get_json(f"http://{listen}/coverage",
+                    doc = get_json(f"http://{run.listen}/coverage",
                                    "/coverage")
                 except ServerGone as err:
                     # The run can complete between the poll and the
                     # GET; tolerate only if it did.
                     time.sleep(0.5)
-                    if process.poll() is None:
+                    if run.alive():
                         fail(f"/coverage unreachable while the run is "
                              f"alive: {err}")
                     break
@@ -327,19 +321,12 @@ def drive(gest_binary):
                     last_seen = doc["cells_seen"]
                     live_passes += 1
                 time.sleep(0.1)
-            stdout, stderr = process.communicate(timeout=120)
-            if process.returncode != 0:
-                fail(f"gest run failed ({process.returncode}):\n"
-                     f"{stdout}{stderr}")
+            run.finish()
             if live_passes == 0:
                 fail("the run finished before a single live /coverage "
                      "pass — raise generations in DRIVE_CONFIG")
             print(f"check_attribution: OK: {live_passes} live "
                   f"/coverage passes, final cells_seen {last_seen}")
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
 
         results, coverage = validate_run_dir(out)
         if not results:

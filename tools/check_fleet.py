@@ -36,13 +36,12 @@ copied there for post-mortem.
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 
 import checklib
-from checklib import SseReader, fail, get, run_gest, wait_for_listen
+from checklib import SseReader, fail, get, run_gest, running_gest
 
 
 # Every run is watched; health_collapse_factor="0" disarms the only
@@ -195,13 +194,9 @@ def drive_plateau_run(gest, scratch):
     config = os.path.join(work, "config.xml")
     with open(config, "w", encoding="utf-8") as handle:
         handle.write(PLATEAU_CONFIG)
-    process = subprocess.Popen(
-        [gest, "run", "config.xml", "--quiet"], cwd=work,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        listen = wait_for_listen(
-            process, os.path.join(work, "out", "status.json"))
-        host, port = listen.rsplit(":", 1)
+    with running_gest(gest, "config.xml", work,
+                      os.path.join(work, "out", "status.json")) as run:
+        host, port = run.listen.rsplit(":", 1)
 
         sse = SseReader(host, int(port))
         sse.start()
@@ -209,9 +204,9 @@ def drive_plateau_run(gest, scratch):
         # Poll /alerts until the induced plateau surfaces.
         live_alerts = []
         for _ in range(2000):
-            if process.poll() is not None:
+            if not run.alive():
                 break
-            code, body = get(f"http://{listen}/alerts", timeout=2)
+            code, body = get(f"http://{run.listen}/alerts", timeout=2)
             if code == 200:
                 try:
                     live_alerts = json.loads(body)
@@ -221,7 +216,7 @@ def drive_plateau_run(gest, scratch):
                     break
             time.sleep(0.025)
         if not live_alerts:
-            process.communicate(timeout=120)
+            run.process.communicate(timeout=120)
             fail("the induced plateau never surfaced on /alerts while "
                  "the run was live")
 
@@ -230,10 +225,7 @@ def drive_plateau_run(gest, scratch):
         resumed = SseReader(host, int(port), last_event_id=10**6)
         resumed.start()
 
-        out, err = process.communicate(timeout=300)
-        if process.returncode != 0:
-            fail(f"plateau run failed ({process.returncode}):\n"
-                 f"{out}{err}")
+        run.finish("plateau run", timeout=300)
         sse.join(timeout=60)
         resumed.join(timeout=60)
         if sse.error:
@@ -242,10 +234,6 @@ def drive_plateau_run(gest, scratch):
             fail(f"resumed SSE read failed: {resumed.error}")
         return (os.path.join(work, "out"), live_alerts, sse.blocks(),
                 resumed.blocks())
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
 
 
 def drive(gest):

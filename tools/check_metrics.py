@@ -43,14 +43,13 @@ copied there for post-mortem.
 import json
 import os
 import socket
-import subprocess
 import sys
 import tempfile
 import time
 
 import checklib
 from checklib import (ServerGone, SseReader, check_metrics_text,
-                      check_quantiles, fail, get, get_json, wait_for_listen)
+                      check_quantiles, fail, get, get_json, running_gest)
 
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
@@ -77,7 +76,7 @@ LISTEN_ONLY_CONFIG = """<?xml version="1.0"?>
     <config platform="cortex-a15"/>
   </measurement>
   <fitness class="DefaultFitness"/>
-  <output directory="" listen="127.0.0.1:{port}" health="true"/>
+  <output directory="" listen="127.0.0.1:{port}"/>
 </gest_configuration>
 """
 
@@ -298,14 +297,10 @@ def drive_run_dir(gest_binary, work):
     config = os.path.join(work, "config.xml")
     with open(config, "w", encoding="utf-8") as handle:
         handle.write(DRIVE_CONFIG)
-    process = subprocess.Popen(
-        [gest_binary, "run", config, "--quiet"], cwd=work,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        listen = wait_for_listen(
-            process, os.path.join(work, "out", "status.json"))
-        base = f"http://{listen}"
-        host, port = listen.rsplit(":", 1)
+    with running_gest(gest_binary, config, work,
+                      os.path.join(work, "out", "status.json")) as run:
+        base = f"http://{run.listen}"
+        host, port = run.listen.rsplit(":", 1)
         sse = SseReader(host, int(port), timeout=60)
         sse.start()
 
@@ -332,10 +327,7 @@ def drive_run_dir(gest_binary, work):
                      f"heartbeat could be scraped: {err}")
             tick += 1
             time.sleep(0.01)
-        out, err = process.communicate(timeout=120)
-        if process.returncode != 0:
-            fail(f"gest run failed ({process.returncode}):\n"
-                 f"{out}{err}")
+        run.finish()
         if passes == 0:
             fail("the run finished before a single scrape pass — "
                  "raise generations in DRIVE_CONFIG")
@@ -352,10 +344,6 @@ def drive_run_dir(gest_binary, work):
         check_sinks_agree(final, run_dir)
         print(f"check_metrics: OK: {passes} scrape passes, "
               f"{events} SSE generation events, run exit 0")
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
 
 
 def free_port():
@@ -369,10 +357,7 @@ def drive_listen_only(gest_binary, work):
     config = os.path.join(work, "listen_only.xml")
     with open(config, "w", encoding="utf-8") as handle:
         handle.write(LISTEN_ONLY_CONFIG.format(port=listen.split(":")[1]))
-    process = subprocess.Popen(
-        [gest_binary, "run", config, "--quiet"], cwd=work,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
+    with running_gest(gest_binary, config, work) as run:
         # Poll until the first generation is published; refusals are
         # expected only until the server binds.
         status = None
@@ -382,8 +367,8 @@ def drive_listen_only(gest_binary, work):
                 if status["generation"] >= 0:
                     break
             except ServerGone as err:
-                if process.poll() is not None:
-                    out, err_text = process.communicate()
+                if not run.alive():
+                    out, err_text = run.process.communicate()
                     fail("listen-only run ended before /status served "
                          f"a generation ({err}):\n{out}{err_text}")
             time.sleep(0.01)
@@ -400,15 +385,9 @@ def drive_listen_only(gest_binary, work):
         alerts = status.get("alerts")
         if not isinstance(alerts, dict) or "raised" not in alerts:
             fail(f"listen-only /status lacks the alerts block: {status}")
-        out, err = process.communicate(timeout=120)
-        if process.returncode != 0:
-            fail(f"listen-only run failed ({process.returncode}):\n{err}")
+        run.finish("listen-only run")
         print("check_metrics: OK: listen-only /status carries the build "
               "identity, listen address, gene entropy and alerts")
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
 
 
 def drive(gest_binary):

@@ -8,6 +8,9 @@ tools/lineage_to_dot.py).
   * get() / get_json() fetch one URL of a live run's telemetry server;
   * wait_for_listen() reads a running gest's bound server address from
     its status.json heartbeat;
+  * running_gest() is the one drive loop: it spawns `gest run`, waits
+    for its listen address, and kills the run on leaving the block;
+    finish() waits for the exit and checks it;
   * SseReader drains the /events stream over a raw socket;
   * run_gest() runs the gest binary and fails on an unexpected exit;
   * check_metrics_text() validates a Prometheus text exposition — the
@@ -20,6 +23,7 @@ The validators run as scripts, so their directory — this one — is on
 sys.path and `import checklib` resolves here.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -106,6 +110,44 @@ def wait_for_listen(process, status_path):
     out, err = process.communicate(timeout=60)
     fail("no listen address appeared in status.json; "
          f"gest exited {process.returncode}:\n{out}{err}")
+
+
+class DrivenRun:
+    """A background `gest run` (see running_gest())."""
+
+    def __init__(self, process, listen):
+        self.process = process
+        self.listen = listen  # host:port, or None when not waited for
+
+    def alive(self):
+        return self.process.poll() is None
+
+    def finish(self, what="gest run", timeout=120):
+        """Wait for the run; fail() unless it exits 0. @return (stdout,
+        stderr)."""
+        out, err = self.process.communicate(timeout=timeout)
+        if self.process.returncode != 0:
+            fail(f"{what} failed ({self.process.returncode}):\n{out}{err}")
+        return out, err
+
+
+@contextlib.contextmanager
+def running_gest(gest, config, cwd, status_path=None):
+    """Spawn `gest run <config> --quiet` in @p cwd and yield its
+    DrivenRun. With @p status_path, first wait until that status.json
+    names the bound server address (DrivenRun.listen). On leaving the
+    block — a failed check included — a run still alive is killed."""
+    process = subprocess.Popen(
+        [gest, "run", config, "--quiet"], cwd=cwd,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        listen = (wait_for_listen(process, status_path)
+                  if status_path else None)
+        yield DrivenRun(process, listen)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
 
 
 class SseReader(threading.Thread):

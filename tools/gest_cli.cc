@@ -552,11 +552,11 @@ cmdTopFleet(const std::string& workspace, double interval_s, bool once)
                 output::TopSnapshot snap;
                 if (output::fetchTopSnapshot(entry.listen, snap)) {
                     state = snap.state;
-                    done = snap.generation + 1;
-                    best = snap.bestFitness;
-                    if (snap.alertsRaised >= 0)
+                    done = snap.status.generation + 1;
+                    best = snap.status.bestFitness;
+                    if (snap.status.alertsRaised >= 0)
                         alerts = static_cast<unsigned long long>(
-                            snap.alertsRaised);
+                            snap.status.alertsRaised);
                     for (const std::string& alert : snap.alertLines)
                         alert_lines.push_back(entry.name + ": " + alert);
                     source = "live " + entry.listen;

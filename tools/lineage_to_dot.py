@@ -24,7 +24,6 @@ Exit status 0 on success; 1 with a message otherwise.
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -298,18 +297,13 @@ def drive(gest_binary):
 
         # Poll status.json while the run is live: the atomic replace
         # must never expose a torn file to a concurrent reader.
-        proc = subprocess.Popen(
-            [gest_binary, "run", config, "--quiet"], cwd=work,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        polls = 0
-        while proc.poll() is None:
-            if check_status(status) is not None:
-                polls += 1
-            time.sleep(0.001)
-        stdout, stderr = proc.communicate()
-        if proc.returncode != 0:
-            fail(f"gest run failed ({proc.returncode}):\n"
-                 f"{stdout}{stderr}")
+        with checklib.running_gest(gest_binary, config, work) as run:
+            polls = 0
+            while run.alive():
+                if check_status(status) is not None:
+                    polls += 1
+                time.sleep(0.001)
+            run.finish()
         final = check_status(status, require_completed=True)
         if final is None:
             fail("run completed without writing status.json")
