@@ -71,9 +71,6 @@ HealthWatchdog::onGenerationEvaluated(
     const attribution::CoverageLedger::Snapshot& coverage)
 {
     const std::size_t before = _alerts.size();
-    ++_generationsSeen;
-    _totalHits += rec.cacheHits;
-    _totalMisses += rec.cacheMisses;
 
     // non_finite_fitness — always armed, always critical: a NaN best
     // poisons selection silently, so it outranks every other rule.
@@ -131,23 +128,6 @@ HealthWatchdog::onGenerationEvaluated(
             }
         }
         _evalRates.push_back(rate);
-    }
-
-    // cache_hit_floor: cumulative hit rate after warmup.
-    if (!_cacheFired && _rules.cacheHitRateFloor > 0.0 &&
-        _generationsSeen > _rules.cacheWarmupGenerations &&
-        _totalHits + _totalMisses > 0) {
-        const double rate =
-            static_cast<double>(_totalHits) /
-            static_cast<double>(_totalHits + _totalMisses);
-        if (rate < _rules.cacheHitRateFloor) {
-            _cacheFired = true;
-            raise(rec.generation, "cache_hit_floor", "warning", rate,
-                  _rules.cacheHitRateFloor,
-                  "cumulative cache hit rate " + compactDouble(rate) +
-                      " below floor " +
-                      compactDouble(_rules.cacheHitRateFloor));
-        }
     }
 
     // coverage_stall: consecutive generations whose coverage tick

@@ -38,9 +38,7 @@ constexpr int alertsVersion = 1;
 
 /**
  * Thresholds for the declarative rules. A zero/negative threshold
- * disables its rule; the defaults arm everything except the cache
- * floor (no universally sane floor exists — a cold library legitimately
- * runs at 0%).
+ * disables its rule; the defaults arm every rule.
  */
 struct HealthRules
 {
@@ -58,14 +56,6 @@ struct HealthRules
      */
     double throughputCollapseFactor = 4.0;
     int throughputMinGenerations = 8;
-
-    /**
-     * "cache_hit_floor": the cumulative fitness-cache hit rate sits
-     * below this floor after cacheWarmupGenerations. Disabled by
-     * default (0.0: no rate is below the floor).
-     */
-    double cacheHitRateFloor = 0.0;
-    int cacheWarmupGenerations = 5;
 
     /**
      * "coverage_stall": the coverage ledger reported zero new cells
@@ -137,7 +127,6 @@ class HealthWatchdog
     // Per-rule latches: one alert per run per failure mode.
     bool _plateauFired = false;
     bool _throughputFired = false;
-    bool _cacheFired = false;
     bool _coverageFired = false;
     bool _starvationFired = false;
     bool _nonFiniteFired = false;
@@ -149,11 +138,6 @@ class HealthWatchdog
 
     // throughput_collapse state.
     std::vector<double> _evalRates;  ///< evals/sec per timed generation
-
-    // cache_hit_floor state.
-    std::uint64_t _totalHits = 0;
-    std::uint64_t _totalMisses = 0;
-    int _generationsSeen = 0;
 
     // coverage_stall state.
     int _coverageStallStreak = 0;

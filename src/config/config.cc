@@ -6,6 +6,7 @@
 #include "fitness/fitness.hh"
 #include "isa/standard_libs.hh"
 #include "measure/sim_measurements.hh"
+#include "native/native_measurement.hh"
 #include "output/trace_writer.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
@@ -236,10 +237,6 @@ parseConfig(const std::string& text, const std::string& base_dir,
             cfg.healthRules.throughputCollapseFactor =
                 parseDouble(out->attr("health_collapse_factor"),
                             "output health_collapse_factor");
-        if (out->hasAttr("health_cache_floor"))
-            cfg.healthRules.cacheHitRateFloor =
-                parseDouble(out->attr("health_cache_floor"),
-                            "output health_cache_floor");
         if (out->hasAttr("health_coverage_stall"))
             cfg.healthRules.coverageStallGenerations =
                 static_cast<int>(
@@ -291,26 +288,34 @@ void
 registerBuiltins()
 {
     measure::registerSimMeasurements();
+    native::registerNativeMeasurements();
     fitness::registerBuiltinFitness();
+}
+
+Evaluators
+buildEvaluators(const RunConfig& cfg)
+{
+    registerBuiltins();
+    Evaluators out;
+    out.measurement = measure::MeasurementRegistry::instance().create(
+        cfg.measurementClass, cfg.library);
+    out.measurement->init(cfg.measurementConfig);
+    if (cfg.steadyStateOverride)
+        out.measurement->setSteadyState(*cfg.steadyStateOverride);
+    out.fitness =
+        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
+    out.fitness->init(cfg.fitnessConfig);
+    return out;
 }
 
 RunResult
 runFromConfig(const RunConfig& cfg)
 {
-    registerBuiltins();
+    const Evaluators evaluators = buildEvaluators(cfg);
+    measure::Measurement& measurement = *evaluators.measurement;
+    fitness::Fitness& fit = *evaluators.fitness;
 
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    if (cfg.steadyStateOverride)
-        measurement->setSteadyState(*cfg.steadyStateOverride);
-
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
-
-    core::Engine engine(cfg.ga, cfg.library, *measurement, *fit);
+    core::Engine engine(cfg.ga, cfg.library, measurement, fit);
 
     if (!cfg.seedPopulationPath.empty())
         engine.setSeedPopulation(
@@ -331,7 +336,7 @@ runFromConfig(const RunConfig& cfg)
         engine.setTraceWriter(trace.get());
     }
 
-    RunPipeline pipeline(cfg, *measurement, trace.get());
+    RunPipeline pipeline(cfg, measurement, trace.get());
     engine.setGenerationCallback(pipeline.callback());
     engine.run();
 
@@ -352,9 +357,9 @@ runFromConfig(const RunConfig& cfg)
     // provenance seal so the manifest covers the artifacts.
     if (cfg.recordAttribution && !cfg.outputDirectory.empty()) {
         std::unique_ptr<measure::Measurement> private_meas =
-            measurement->clone();
+            measurement.clone();
         measure::Measurement* attr_meas =
-            private_meas ? private_meas.get() : measurement.get();
+            private_meas ? private_meas.get() : &measurement;
 
         struct AttributionTarget
         {
@@ -374,7 +379,7 @@ runFromConfig(const RunConfig& cfg)
             ind.code = *target.code;
             attribution::AttributionResult attributed =
                 attribution::computeAttribution(cfg.library, *attr_meas,
-                                                *fit, ind);
+                                                fit, ind);
             attributed.generation = target.generation;
             const std::string basename =
                 "individual_" + std::to_string(target.id);
@@ -415,21 +420,28 @@ runFromConfig(const RunConfig& cfg)
         stats::setEnabled(stats_were_enabled);
     // Seal last: every other artifact is final, so the manifest's
     // checksums describe exactly what a verifier will find.
-    provenance::SealInfo info;
-    info.configText = cfg.rawText;
-    info.configBaseDir = cfg.configBaseDir;
-    info.measurementClass = cfg.measurementClass;
-    info.fitnessClass = cfg.fitnessClass;
-    info.ga = cfg.ga;
-    info.steadyStateOverride = cfg.steadyStateOverride;
-    info.waveformTopK = cfg.waveformTopK;
-    info.recordStats = cfg.recordStats;
-    info.recordAttribution = cfg.recordAttribution;
-    info.generationsCompleted = static_cast<int>(result.history.size());
-    info.evaluations = result.evaluations;
-    info.bestFitness = result.best.fitness;
-    info.bestId = result.best.id;
-    result.manifestFile = pipeline.seal(info);
+    provenance::Manifest manifest;
+    manifest.configBaseDir = cfg.configBaseDir;
+    manifest.measurementClass = cfg.measurementClass;
+    manifest.fitnessClass = cfg.fitnessClass;
+    manifest.hasSeed = true;
+    manifest.seed = cfg.ga.seed;
+    manifest.populationSize = cfg.ga.populationSize;
+    manifest.individualSize = cfg.ga.individualSize;
+    manifest.generations = cfg.ga.generations;
+    manifest.threads = cfg.ga.threads;
+    manifest.fitnessCacheSize = cfg.ga.fitnessCacheSize;
+    manifest.elitism = cfg.ga.elitism;
+    manifest.steadyStateOverride = cfg.steadyStateOverride;
+    manifest.waveformTopK = cfg.waveformTopK;
+    manifest.recordStats = cfg.recordStats;
+    manifest.recordAttribution = cfg.recordAttribution;
+    manifest.generationsCompleted =
+        static_cast<int>(result.history.size());
+    manifest.evaluations = result.evaluations;
+    manifest.bestFitness = result.best.fitness;
+    manifest.bestId = result.best.id;
+    result.manifestFile = pipeline.seal(std::move(manifest));
     return result;
 }
 

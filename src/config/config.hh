@@ -117,9 +117,9 @@ struct RunConfig
      * Thresholds of the GA health watchdog, which evaluates the
      * declarative rules in analysis::HealthRules on every generation
      * (alerts.csv, the status.json `alerts` block, /alerts). Tuned via
-     * the health_plateau, health_collapse_factor, health_cache_floor,
-     * health_coverage_stall and health_starvation_share attributes of
-     * <output> (zero disables a rule).
+     * the health_plateau, health_collapse_factor, health_coverage_stall
+     * and health_starvation_share attributes of <output> (zero disables
+     * a rule).
      */
     analysis::HealthRules healthRules;
 
@@ -236,13 +236,32 @@ struct RunResult
 
 /**
  * Execute one GA run described by a configuration: instantiate the
- * measurement and fitness by name, deploy the run pipeline
- * (config/pipeline.hh), seed, run, seal.
+ * measurement and fitness by name (buildEvaluators), deploy the run
+ * pipeline (config/pipeline.hh), seed, run, seal.
  */
 RunResult runFromConfig(const RunConfig& cfg);
 
-/** Register all bundled measurement and fitness classes (idempotent). */
+/**
+ * Register all bundled measurement and fitness classes — simulated,
+ * native and fitness — so every class `gest classes` lists resolves
+ * (idempotent).
+ */
 void registerBuiltins();
+
+/** A run's measurement and fitness, created and initialized. */
+struct Evaluators
+{
+    std::unique_ptr<measure::Measurement> measurement;
+    std::unique_ptr<fitness::Fitness> fitness;
+};
+
+/**
+ * Register the bundled classes, then create @p cfg's measurement and
+ * fitness by name and init them from their configuration elements,
+ * applying cfg.steadyStateOverride to the measurement. fatal() on an
+ * unknown class or a rejected configuration.
+ */
+Evaluators buildEvaluators(const RunConfig& cfg);
 
 } // namespace config
 } // namespace gest

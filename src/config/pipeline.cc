@@ -274,13 +274,14 @@ RunPipeline::finish()
 }
 
 std::string
-RunPipeline::seal(provenance::SealInfo info)
+RunPipeline::seal(provenance::Manifest manifest)
 {
     if (!_digests)
         return "";
-    info.digestsSealed = _digests->rowsSealed();
-    info.digestMsTotal = _digests->digestUsTotal() / 1000.0;
-    return provenance::sealManifest(_cfg.outputDirectory, info);
+    manifest.digestsSealed = _digests->rowsSealed();
+    manifest.digestMsTotal = _digests->digestUsTotal() / 1000.0;
+    return provenance::sealManifest(_cfg.outputDirectory,
+                                    std::move(manifest), _cfg.rawText);
 }
 
 std::string

@@ -83,11 +83,13 @@ class RunPipeline
     void finish();
 
     /**
-     * Seal manifest.json over the finished run directory; @p info's
-     * digest totals are filled in here. @return its path (empty
+     * Seal manifest.json over the finished run directory: @p manifest
+     * carries what only the run driver knows (configuration fields
+     * and run outcome); the digest totals are filled in here and
+     * provenance::sealManifest adds the rest. @return its path (empty
      * without provenance).
      */
-    std::string seal(provenance::SealInfo info);
+    std::string seal(provenance::Manifest manifest);
 
     /** host:port the telemetry server bound (empty without one). */
     std::string listenAddress() const;

@@ -255,8 +255,8 @@ compareRuns(const std::string& baseline_dir,
             d.resampled = true;
             d.pValue =
                 stats::permutationPValue(base_eval_ms, cand_eval_ms);
-            d.flagged =
-                d.pValue < 0.05 && std::fabs(d.relDelta) > 0.10;
+            // Only a slowdown is a perf regression.
+            d.flagged = d.pValue < 0.05 && d.relDelta > 0.10;
         }
         cmp.perf.push_back(d);
     }
@@ -321,16 +321,14 @@ formatComparison(const RunComparison& cmp)
 }
 
 std::string
-formatComparisonsJson(const std::vector<RunComparison>& comparisons)
+formatComparisonsJson(const std::string& baseline_dir,
+                      const std::vector<RunComparison>& comparisons)
 {
     std::ostringstream os;
     os.precision(17);
     os << "{\n";
     os << "  \"gest_compare_version\": 1,\n";
-    os << "  \"baseline\": \""
-       << jsonEscape(comparisons.empty() ? ""
-                                         : comparisons[0].baselineDir)
-       << "\",\n";
+    os << "  \"baseline\": \"" << jsonEscape(baseline_dir) << "\",\n";
     os << "  \"comparisons\": [\n";
     for (std::size_t c = 0; c < comparisons.size(); ++c) {
         const RunComparison& cmp = comparisons[c];

@@ -9,8 +9,12 @@
  * and steady-state hit rates) are inherently noisy, so they are
  * reported separately with a permutation-test p-value on the
  * per-generation evaluation times; a perf delta is *flagged* — for CI
- * regression gates — only when it is both statistically significant
- * (p < 0.05) and practically large (>10% relative change).
+ * regression gates — only when the candidate is slower: statistically
+ * significant (p < 0.05) and more than 10% more evaluation time. A
+ * faster candidate is never flagged.
+ *
+ * `gest runs <workspace> --baseline <run>` runs the same comparison
+ * over the baseline's config-hash cohort (registry::selectCohort).
  */
 
 #ifndef GEST_PROVENANCE_COMPARE_HH
@@ -31,7 +35,7 @@ struct PerfDelta
     double relDelta = 0.0;  ///< (candidate - baseline) / baseline
     double pValue = 1.0;    ///< 1.0 when no resampling applies
     bool resampled = false;
-    bool flagged = false;   ///< p < 0.05 and |relDelta| > 0.10
+    bool flagged = false;   ///< slower: p < 0.05 and relDelta > 0.10
 };
 
 /** Everything `gest compare` reports for one baseline/candidate pair. */
@@ -58,7 +62,7 @@ struct RunComparison
     int firstDigestDivergence = -1;
 
     std::vector<PerfDelta> perf;
-    int flaggedPerf = 0;
+    int flaggedPerf = 0;  ///< perf regressions: flagged slowdowns
 
     /** Informational lines (missing artifacts, config notes). */
     std::vector<std::string> notes;
@@ -74,9 +78,13 @@ RunComparison compareRuns(const std::string& baseline_dir,
 /** Render one comparison as the text `gest compare` prints. */
 std::string formatComparison(const RunComparison& cmp);
 
-/** Render comparisons as one JSON object (`gest compare --json`). */
+/**
+ * Render comparisons against @p baseline_dir as one JSON object
+ * (`gest compare --json`); an empty list still names the baseline.
+ */
 std::string
-formatComparisonsJson(const std::vector<RunComparison>& comparisons);
+formatComparisonsJson(const std::string& baseline_dir,
+                      const std::vector<RunComparison>& comparisons);
 
 } // namespace provenance
 } // namespace gest

@@ -51,31 +51,10 @@ inferArtifactKind(const std::string& rel_path)
 }
 
 std::string
-sealManifest(const std::string& run_dir, const SealInfo& info)
+sealManifest(const std::string& run_dir, Manifest m,
+             const std::string& config_text)
 {
-    Manifest m;
-    m.configHash = canonicalConfigHash(info.configText);
-    m.configBaseDir = info.configBaseDir;
-    m.measurementClass = info.measurementClass;
-    m.fitnessClass = info.fitnessClass;
-    m.hasSeed = true;
-    m.seed = info.ga.seed;
-    m.populationSize = info.ga.populationSize;
-    m.individualSize = info.ga.individualSize;
-    m.generations = info.ga.generations;
-    m.threads = info.ga.threads;
-    m.fitnessCacheSize = info.ga.fitnessCacheSize;
-    m.elitism = info.ga.elitism;
-    m.steadyStateOverride = info.steadyStateOverride;
-    m.waveformTopK = info.waveformTopK;
-    m.recordStats = info.recordStats;
-    m.recordAttribution = info.recordAttribution;
-    m.generationsCompleted = info.generationsCompleted;
-    m.evaluations = info.evaluations;
-    m.bestFitness = info.bestFitness;
-    m.bestId = info.bestId;
-    m.digestsSealed = info.digestsSealed;
-    m.digestMsTotal = info.digestMsTotal;
+    m.configHash = canonicalConfigHash(config_text);
     fillBuildInfo(m);
 
     // Walk the run directory; sorted relative paths make the artifact

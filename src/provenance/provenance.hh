@@ -13,44 +13,24 @@
 #ifndef GEST_PROVENANCE_PROVENANCE_HH
 #define GEST_PROVENANCE_PROVENANCE_HH
 
-#include <optional>
 #include <string>
 
-#include "core/ga_params.hh"
 #include "provenance/manifest.hh"
 
 namespace gest {
 namespace provenance {
 
-/** Everything seal() records that only the run driver knows. */
-struct SealInfo
-{
-    std::string configText;     ///< the run's raw main configuration
-    std::string configBaseDir;  ///< its relative-path anchor
-    std::string measurementClass;
-    std::string fitnessClass;
-    core::GaParams ga;
-    std::optional<bool> steadyStateOverride;
-    int waveformTopK = 0;
-    bool recordStats = true;
-    bool recordAttribution = false;
-
-    // Run outcome.
-    int generationsCompleted = 0;
-    std::uint64_t evaluations = 0;
-    double bestFitness = 0.0;
-    std::uint64_t bestId = 0;
-    std::uint64_t digestsSealed = 0;
-    double digestMsTotal = 0.0;
-};
-
 /**
- * Checksum every artifact under @p run_dir and write manifest.json,
- * labelling each with inferArtifactKind(). Call once, after all other
- * artifacts are final.
+ * Complete @p m — the hash of @p config_text (the run's raw main
+ * configuration), the build/platform fingerprint, the seal time and a
+ * checksum of every artifact under @p run_dir, each labelled by
+ * inferArtifactKind() — and write it as manifest.json. The caller
+ * fills the configuration fields and run outcome. Call once, after all
+ * other artifacts are final.
  * @return the manifest's path.
  */
-std::string sealManifest(const std::string& run_dir, const SealInfo& info);
+std::string sealManifest(const std::string& run_dir, Manifest m,
+                         const std::string& config_text);
 
 /**
  * @return the artifact kind inferred from a run-relative path

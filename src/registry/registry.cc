@@ -1,14 +1,12 @@
 #include "registry/registry.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "analysis/health.hh"
 #include "analysis/snapshot.hh"
 #include "output/report.hh"
 #include "provenance/manifest.hh"
-#include "stats/resample.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -135,53 +133,6 @@ indexRun(const std::string& workspace, const std::string& name)
     applyStatusJson(entry.path, entry);
     applyAlerts(entry.path, entry);
     return entry;
-}
-
-/** Per-generation samples a screening needs from one run. */
-struct RunSamples
-{
-    std::vector<double> best;   ///< best_fitness per generation
-    std::vector<double> rates;  ///< evals/sec per timed generation
-    double evalsPerSec = 0.0;
-    std::string error;  ///< non-empty: the run could not be read
-};
-
-RunSamples
-collectSamples(const std::string& run_dir)
-{
-    RunSamples out;
-    try {
-        const output::RunReport report = output::analyzeRun(run_dir);
-        for (const output::HistoryRow& row : report.rows) {
-            out.best.push_back(row.bestFitness);
-            if (row.evaluationMs > 0.0 && row.cacheMisses > 0)
-                out.rates.push_back(
-                    static_cast<double>(row.cacheMisses) /
-                    (row.evaluationMs / 1e3));
-        }
-        out.evalsPerSec = report.evaluationsPerSecond();
-    } catch (const FatalError& err) {
-        out.error = err.what();
-    }
-    return out;
-}
-
-double
-meanOf(const std::vector<double>& v)
-{
-    if (v.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double x : v)
-        sum += x;
-    return sum / static_cast<double>(v.size());
-}
-
-double
-relDelta(double baseline, double candidate)
-{
-    const double denom = std::max(std::fabs(baseline), 1e-12);
-    return (candidate - baseline) / denom;
 }
 
 } // namespace
@@ -333,10 +284,10 @@ matchesFilter(const RunEntry& entry, const std::string& key,
     return cell == value || startsWith(cell, value);
 }
 
-std::vector<BaselineComparison>
-screenBaseline(const std::string& workspace,
-               const std::string& baseline_name,
-               const std::vector<RunEntry>& entries)
+Cohort
+selectCohort(const std::string& workspace,
+             const std::string& baseline_name,
+             const std::vector<RunEntry>& entries)
 {
     // Accept the run's name or its path (trailing slashes stripped).
     std::string wanted = baseline_name;
@@ -346,61 +297,30 @@ screenBaseline(const std::string& workspace,
     if (slash != std::string::npos)
         wanted = wanted.substr(slash + 1);
 
-    const RunEntry* baseline = nullptr;
-    for (const RunEntry& e : entries) {
-        if (e.name == wanted) {
-            baseline = &e;
-            break;
-        }
-    }
-    if (baseline == nullptr)
+    const auto found =
+        std::find_if(entries.begin(), entries.end(),
+                     [&](const RunEntry& e) { return e.name == wanted; });
+    if (found == entries.end())
         fatal("baseline run '", baseline_name, "' is not indexed in ",
               workspace, " (run `gest runs ", workspace,
               "` to see the index)");
-    if (baseline->configHash.empty())
-        fatal("baseline run '", baseline->name,
+    Cohort cohort;
+    cohort.baseline = *found;
+    if (cohort.baseline.configHash.empty())
+        fatal("baseline run '", cohort.baseline.name,
               "' has no config hash to build a cohort from");
-
-    const RunSamples base = collectSamples(baseline->path);
-    if (!base.error.empty())
-        fatal("baseline run '", baseline->name, "': ", base.error);
-
-    std::vector<BaselineComparison> out;
-    for (const RunEntry& e : entries) {
-        if (e.name == baseline->name || e.status == "corrupt" ||
-            e.configHash != baseline->configHash)
-            continue;
-        BaselineComparison cmp;
-        cmp.baseline = baseline->name;
-        cmp.candidate = e.name;
-        cmp.sameSeed =
-            baseline->hasSeed && e.hasSeed && baseline->seed == e.seed;
-        cmp.baselineBest = baseline->bestFitness;
-        cmp.candidateBest = e.bestFitness;
-
-        const RunSamples cand = collectSamples(e.path);
-        if (!cand.error.empty()) {
-            cmp.error = cand.error;
-            out.push_back(std::move(cmp));
-            continue;
-        }
-        cmp.fitnessP = stats::permutationPValue(base.best, cand.best);
-        cmp.fitnessRelDelta =
-            relDelta(meanOf(base.best), meanOf(cand.best));
-        cmp.fitnessRegression = cmp.fitnessP < 0.05;
-
-        cmp.baselineEvalsPerSec = base.evalsPerSec;
-        cmp.candidateEvalsPerSec = cand.evalsPerSec;
-        cmp.throughputP =
-            stats::permutationPValue(base.rates, cand.rates);
-        cmp.throughputRelDelta =
-            relDelta(meanOf(base.rates), meanOf(cand.rates));
-        cmp.throughputDrift =
-            cmp.throughputP < 0.05 &&
-            std::fabs(cmp.throughputRelDelta) > 0.10;
-        out.push_back(std::move(cmp));
+    try {
+        output::analyzeRun(cohort.baseline.path);
+    } catch (const FatalError& err) {
+        fatal("baseline run '", cohort.baseline.name, "': ", err.what());
     }
-    return out;
+
+    for (const RunEntry& e : entries) {
+        if (e.name != cohort.baseline.name && e.status != "corrupt" &&
+            e.configHash == cohort.baseline.configHash)
+            cohort.members.push_back(e);
+    }
+    return cohort;
 }
 
 std::string
@@ -438,66 +358,6 @@ formatRunsTable(const std::vector<RunEntry>& entries)
                   entries.size(), running,
                   static_cast<unsigned long long>(alerts));
     out += line;
-    return out;
-}
-
-std::string
-formatBaselineTable(const std::vector<BaselineComparison>& rows)
-{
-    std::string out;
-    if (rows.empty())
-        return "cohort: no other runs share the baseline's config "
-               "hash\n";
-    char line[512];
-    out += "cohort screening (baseline " + rows.front().baseline +
-           "):\n";
-    for (const BaselineComparison& cmp : rows) {
-        if (!cmp.error.empty()) {
-            out += "  " + cmp.candidate + ": unreadable (" + cmp.error +
-                   ")\n";
-            continue;
-        }
-        std::snprintf(
-            line, sizeof(line),
-            "  %-24s %s  fitness p=%.4f delta %+.2f%%  "
-            "throughput p=%.4f delta %+.1f%%%s%s\n",
-            cmp.candidate.c_str(),
-            cmp.fitnessRegression ? "REGRESSION" : "ok        ",
-            cmp.fitnessP, 100.0 * cmp.fitnessRelDelta, cmp.throughputP,
-            100.0 * cmp.throughputRelDelta,
-            cmp.throughputDrift ? "  (throughput drift)" : "",
-            cmp.sameSeed ? "  [same seed]" : "");
-        out += line;
-    }
-    return out;
-}
-
-std::string
-formatBaselineJson(const std::vector<BaselineComparison>& rows)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const BaselineComparison& cmp = rows[i];
-        char buf[512];
-        std::snprintf(
-            buf, sizeof(buf),
-            "\n  {\"baseline\": \"%s\", \"candidate\": \"%s\", "
-            "\"same_seed\": %s, \"fitness_p\": %.6f, "
-            "\"fitness_rel_delta\": %.9g, \"fitness_regression\": %s, "
-            "\"throughput_p\": %.6f, \"throughput_rel_delta\": %.9g, "
-            "\"throughput_drift\": %s, \"error\": \"%s\"}",
-            jsonEscape(cmp.baseline).c_str(),
-            jsonEscape(cmp.candidate).c_str(),
-            cmp.sameSeed ? "true" : "false", cmp.fitnessP,
-            cmp.fitnessRelDelta, cmp.fitnessRegression ? "true" : "false",
-            cmp.throughputP, cmp.throughputRelDelta,
-            cmp.throughputDrift ? "true" : "false",
-            jsonEscape(cmp.error).c_str());
-        out += buf;
-        if (i + 1 < rows.size())
-            out += ",";
-    }
-    out += rows.empty() ? "]\n" : "\n]\n";
     return out;
 }
 

@@ -9,14 +9,10 @@
  * config hash, seed, git sha and final fitness (`gest runs --json`
  * prints the same index as JSON).
  *
- * On top of the index sits cross-run regression screening
- * (`gest runs --baseline <run>`): every cohort member sharing the
- * baseline's config hash is compared with stats::permutationPValue —
- * the per-generation best-fitness trajectories gate the *regression*
- * flag (deterministic: two same-seed runs are identical and never
- * flag), while throughput drift is reported separately as
- * informational, the same result-vs-performance split `gest compare`
- * uses. See docs/fleet.md.
+ * On top of the index sits cohort selection for `gest runs --baseline
+ * <run>`: the runs sharing the baseline's config hash, which the CLI
+ * then hands to `gest compare`'s provenance::compareRuns one by one.
+ * See docs/fleet.md.
  */
 
 #ifndef GEST_REGISTRY_REGISTRY_HH
@@ -105,62 +101,27 @@ std::string entryField(const RunEntry& entry, const std::string& key);
 bool matchesFilter(const RunEntry& entry, const std::string& key,
                    const std::string& value);
 
-/** One cohort member screened against the baseline run. */
-struct BaselineComparison
+/** A baseline run and the indexed runs that share its configuration. */
+struct Cohort
 {
-    std::string baseline;   ///< baseline run name
-    std::string candidate;  ///< cohort run name
-    bool sameSeed = false;
-
-    double baselineBest = 0.0;
-    double candidateBest = 0.0;
-
-    /**
-     * Permutation p-value over the per-generation best-fitness
-     * trajectories, and the relative mean delta. The regression flag
-     * is p < 0.05: deterministic (the test is seeded), and two
-     * same-seed runs have identical trajectories, hence p = 1.
-     */
-    double fitnessP = 1.0;
-    double fitnessRelDelta = 0.0;
-    bool fitnessRegression = false;
-
-    /**
-     * Throughput drift (per-generation measured evals/sec): flagged
-     * when p < 0.05 AND the relative delta exceeds 10%, but — like
-     * `gest compare`'s performance section — reported separately and
-     * never part of the regression verdict, because wall-clock noise
-     * is not a result change.
-     */
-    double baselineEvalsPerSec = 0.0;
-    double candidateEvalsPerSec = 0.0;
-    double throughputP = 1.0;
-    double throughputRelDelta = 0.0;
-    bool throughputDrift = false;
-
-    std::string error;  ///< non-empty: this member could not be read
+    RunEntry baseline;
+    std::vector<RunEntry> members;  ///< in index order
 };
 
 /**
- * Screen every indexed run sharing @p baseline_name's config hash
- * against it. fatal() when the baseline is not in @p entries or has no
- * readable history.
+ * Resolve @p baseline_name — a run name, or a path whose last
+ * component names the run — in @p entries and gather its cohort: every
+ * other non-corrupt run with the baseline's config hash. Since that
+ * hash covers every attribute, seed and output directory included,
+ * cohort members share the baseline's seed. fatal() when the baseline
+ * is not indexed, has no config hash, or has no readable history.
  */
-std::vector<BaselineComparison>
-screenBaseline(const std::string& workspace,
-               const std::string& baseline_name,
-               const std::vector<RunEntry>& entries);
+Cohort selectCohort(const std::string& workspace,
+                    const std::string& baseline_name,
+                    const std::vector<RunEntry>& entries);
 
 /** Render the human-readable `gest runs` table. */
 std::string formatRunsTable(const std::vector<RunEntry>& entries);
-
-/** Render the human-readable screening section. */
-std::string
-formatBaselineTable(const std::vector<BaselineComparison>& rows);
-
-/** JSON rows of the screening (an array). */
-std::string
-formatBaselineJson(const std::vector<BaselineComparison>& rows);
 
 } // namespace registry
 } // namespace gest

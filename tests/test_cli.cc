@@ -10,8 +10,14 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <set>
 
+#include <sys/wait.h>
+
+#include "config/config.hh"
+#include "fitness/fitness.hh"
+#include "measure/measurement.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
@@ -28,14 +34,18 @@
 namespace gest {
 namespace {
 
-/** Run the CLI, capture stdout+stderr, return the exit status. */
+/**
+ * Run the CLI, capture stdout+stderr (stdout alone with
+ * @p stdout_only), return the exit status.
+ */
 int
 runCli(const std::string& args, std::string& output,
-       const std::string& scratch)
+       const std::string& scratch, bool stdout_only = false)
 {
     const std::string out_file = scratch + "/cli_output.txt";
-    const std::string command = std::string(GEST_CLI_PATH) + " " + args +
-                                " > '" + out_file + "' 2>&1";
+    const std::string command =
+        std::string(GEST_CLI_PATH) + " " + args + " > '" + out_file +
+        (stdout_only ? "' 2>/dev/null" : "' 2>&1");
     const int status = std::system(command.c_str());
     tryReadFile(out_file, output);
     return status;
@@ -442,6 +452,119 @@ TEST_F(CliTest, CompareSameSeedRunsReportsZeroDeltas)
               std::string::npos);
     EXPECT_NE(output.find("\"gest_compare_version\": 1"),
               std::string::npos);
+}
+
+TEST_F(CliTest, RunsBaselineIsCompareOverTheCohort)
+{
+    // Two runs of one configuration (seed and output directory
+    // included, so one config hash) form a same-seed cohort.
+    const std::string ws = _dir + "/ws";
+    ensureDir(ws);
+    std::string output;
+    for (const char* name : {"a", "b"}) {
+        ASSERT_EQ(runCli("run '" + _dir + "/config.xml' --quiet", output,
+                         _dir),
+                  0)
+            << output;
+        std::filesystem::rename(_dir + "/run_out", ws + "/" + name);
+    }
+
+    // A same-seed, same-build twin exits 0.
+    EXPECT_EQ(runCli("runs '" + ws + "' --baseline a", output, _dir), 0)
+        << output;
+    EXPECT_NE(output.find("deterministic results identical"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("significant deltas: 0"), std::string::npos);
+
+    // --json is exactly `gest compare --json` over the same paths.
+    const std::string compare_args =
+        "compare '" + ws + "/a' '" + ws + "/b' --json";
+    std::string runs_json, compare_json;
+    EXPECT_EQ(runCli("runs '" + ws + "' --baseline a --json", runs_json,
+                     _dir, /*stdout_only=*/true),
+              0);
+    ASSERT_EQ(runCli(compare_args, compare_json, _dir, true), 0);
+    EXPECT_EQ(runs_json, compare_json);
+
+    // A copy whose best fitness differs is a result delta: exit 1,
+    // reported as a trajectory divergence.
+    const std::string history = ws + "/b/history.csv";
+    std::string edited;
+    for (const std::string& line : split(readFile(history), '\n')) {
+        if (line.empty())
+            continue;
+        std::vector<std::string> cells = split(line, ',');
+        if (std::isdigit(static_cast<unsigned char>(line.front())) &&
+            cells.size() > 1) {
+            char scaled[64];
+            std::snprintf(scaled, sizeof(scaled), "%.6f",
+                          1.10 * std::stod(cells[1]));
+            cells[1] = scaled;
+        }
+        edited += join(cells, ",") + "\n";
+    }
+    writeFile(history, edited);
+    const int status =
+        runCli("runs '" + ws + "' --baseline a", output, _dir);
+    EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+    EXPECT_NE(output.find("fitness trajectory diverges at generation 0"),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("REGRESSION"), std::string::npos) << output;
+    runCli("runs '" + ws + "' --baseline a --json", runs_json, _dir,
+           true);
+    runCli(compare_args, compare_json, _dir, true);
+    EXPECT_EQ(runs_json, compare_json);
+
+    // An empty cohort still names the baseline. A member without a
+    // history (here: only its manifest) is skipped with a warning.
+    const std::string solo = _dir + "/solo";
+    ensureDir(solo + "/hollow");
+    std::filesystem::rename(ws + "/a", solo + "/a");
+    std::filesystem::copy_file(solo + "/a/manifest.json",
+                               solo + "/hollow/manifest.json");
+    ASSERT_EQ(runCli("runs '" + solo + "' --baseline a", output, _dir),
+              0)
+        << output;
+    EXPECT_NE(output.find("cohort member hollow not compared"),
+              std::string::npos)
+        << output;
+    ASSERT_EQ(runCli("runs '" + solo + "' --baseline a --json", output,
+                     _dir, true),
+              0);
+    json::Value parsed;
+    ASSERT_TRUE(json::parse(output, parsed, nullptr)) << output;
+    EXPECT_EQ(parsed.stringOr("baseline", ""), solo + "/a");
+    const json::Value* comparisons = parsed.find("comparisons");
+    ASSERT_NE(comparisons, nullptr);
+    EXPECT_TRUE(comparisons->isArray());
+    EXPECT_TRUE(comparisons->array.empty());
+}
+
+TEST_F(CliTest, RunDriverResolvesEveryListedClass)
+{
+    std::string output;
+    ASSERT_EQ(runCli("classes", output, _dir, true), 0);
+    config::registerBuiltins();
+    bool measurements = true;
+    int listed = 0;
+    for (const std::string& line : split(output, '\n')) {
+        if (line == "fitness classes:")
+            measurements = false;
+        if (!startsWith(line, "  "))
+            continue;
+        const std::string name = trim(line);
+        ++listed;
+        if (measurements)
+            EXPECT_TRUE(
+                measure::MeasurementRegistry::instance().contains(name))
+                << name;
+        else
+            EXPECT_TRUE(fitness::FitnessRegistry::instance().contains(name))
+                << name;
+    }
+    EXPECT_GT(listed, 4);
 }
 
 TEST_F(CliTest, ProvenanceOffSuppressesManifestAndDigests)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "config/config.hh"
@@ -459,9 +460,16 @@ TEST(Compare, SameSeedRunsHaveZeroSignificantDeltas)
     EXPECT_DOUBLE_EQ(cmp.maxAbsFitnessDelta, 0.0);
     EXPECT_FALSE(cmp.perf.empty());
 
-    const std::string json = provenance::formatComparisonsJson({cmp});
+    const std::string json =
+        provenance::formatComparisonsJson(dir + "/a", {cmp});
     EXPECT_NE(json.find("\"significant_deltas\": 0"),
               std::string::npos);
+    // No candidates: an empty list that still names the baseline.
+    const std::string empty =
+        provenance::formatComparisonsJson(dir + "/a", {});
+    EXPECT_NE(empty.find("\"baseline\": \"" + dir + "/a\""),
+              std::string::npos);
+    EXPECT_NE(empty.find("\"comparisons\": [\n  ]"), std::string::npos);
     removeAll(dir);
 }
 
@@ -484,6 +492,80 @@ TEST(Compare, DifferentSeedsReportDeterministicDeltas)
     for (const std::string& note : cmp.notes)
         noted = noted || note.find("seeds differ") != std::string::npos;
     EXPECT_TRUE(noted);
+    removeAll(dir);
+}
+
+/**
+ * A run dir holding only a history.csv: the same fitness trajectory for
+ * every run, generation g's evaluation taking eval_ms[g] * scale.
+ */
+void
+writeTimedHistory(const std::string& run_dir, double scale)
+{
+    const double eval_ms[] = {20.0, 21.0, 19.5, 20.5,
+                              22.0, 19.0, 20.0, 21.5};
+    std::string text =
+        "# gest-history v2\n"
+        "generation,best_fitness,average_fitness,best_id,"
+        "unique_instructions,diversity,cache_hits,cache_misses,"
+        "selection_ms,crossover_ms,mutation_ms,evaluation_ms,io_ms\n";
+    for (int gen = 0; gen < 8; ++gen) {
+        char line[160];
+        std::snprintf(line, sizeof(line),
+                      "%d,%.6f,%.6f,%d,5,0.5,2,8,0.1,0.1,0.1,%.3f,0.05\n",
+                      gen, 1.0 + gen, 0.5 + gen, gen + 1,
+                      eval_ms[gen] * scale);
+        text += line;
+    }
+    ensureDir(run_dir);
+    writeFile(run_dir + "/history.csv", text);
+}
+
+const provenance::PerfDelta&
+evaluationDelta(const provenance::RunComparison& cmp)
+{
+    for (const provenance::PerfDelta& d : cmp.perf)
+        if (d.metric == "evaluation_ms_total")
+            return d;
+    ADD_FAILURE() << "no evaluation_ms_total delta";
+    return cmp.perf.front();
+}
+
+TEST(Compare, FasterCandidateIsNotAPerfRegression)
+{
+    const std::string dir = makeTempDir("gest-compare");
+    writeTimedHistory(dir + "/a", 1.0);
+    writeTimedHistory(dir + "/b", 0.5);
+
+    const provenance::RunComparison cmp =
+        provenance::compareRuns(dir + "/a", dir + "/b");
+    EXPECT_EQ(cmp.significantDeltas, 0);
+    // Significant and large, but in the good direction.
+    const provenance::PerfDelta& d = evaluationDelta(cmp);
+    EXPECT_LT(d.pValue, 0.05);
+    EXPECT_DOUBLE_EQ(d.relDelta, -0.5);
+    EXPECT_FALSE(d.flagged);
+    EXPECT_EQ(cmp.flaggedPerf, 0) << provenance::formatComparison(cmp);
+    removeAll(dir);
+}
+
+TEST(Compare, SlowerCandidateIsAPerfRegression)
+{
+    const std::string dir = makeTempDir("gest-compare");
+    writeTimedHistory(dir + "/a", 1.0);
+    writeTimedHistory(dir + "/b", 2.0);
+
+    const provenance::RunComparison cmp =
+        provenance::compareRuns(dir + "/a", dir + "/b");
+    EXPECT_EQ(cmp.significantDeltas, 0);
+    const provenance::PerfDelta& d = evaluationDelta(cmp);
+    EXPECT_LT(d.pValue, 0.05);
+    EXPECT_DOUBLE_EQ(d.relDelta, 1.0);
+    EXPECT_TRUE(d.flagged);
+    EXPECT_EQ(cmp.flaggedPerf, 1);
+    EXPECT_NE(provenance::formatComparison(cmp).find(
+                  "flagged perf regressions: 1"),
+              std::string::npos);
     removeAll(dir);
 }
 

@@ -5,7 +5,7 @@
  * (plateau, throughput collapse, non-finite fitness, clean run), the
  * alerts-ledger round trip, and the experiment registry — indexing a
  * workspace of mixed sealed/unsealed/corrupt runs, the CSV/JSON index
- * schema, `--filter` semantics and baseline regression screening.
+ * schema, `--filter` semantics and baseline cohort selection.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <limits>
 
 #include "analysis/health.hh"
+#include "provenance/compare.hh"
 #include "provenance/manifest.hh"
 #include "registry/registry.hh"
 #include "util/fileutil.hh"
@@ -385,22 +386,52 @@ TEST(Registry, SameTrajectoryCohortNeverFlagsARegression)
 
     const std::vector<registry::RunEntry> entries =
         registry::scanWorkspace(ws);
-    const std::vector<registry::BaselineComparison> rows =
-        registry::screenBaseline(ws, "base", entries);
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].candidate, "twin");
-    EXPECT_TRUE(rows[0].sameSeed);
-    // Identical trajectories: the permutation test is exactly 1.
-    EXPECT_DOUBLE_EQ(rows[0].fitnessP, 1.0);
-    EXPECT_FALSE(rows[0].fitnessRegression);
-    EXPECT_FALSE(rows[0].throughputDrift);
+    const registry::Cohort cohort =
+        registry::selectCohort(ws, "base", entries);
+    EXPECT_EQ(cohort.baseline.name, "base");
+    ASSERT_EQ(cohort.members.size(), 1u);
+    EXPECT_EQ(cohort.members[0].name, "twin");
+    EXPECT_EQ(cohort.members[0].seed, cohort.baseline.seed);
+
+    // Identical trajectories: no result delta, no perf flag.
+    const provenance::RunComparison cmp = provenance::compareRuns(
+        cohort.baseline.path, cohort.members[0].path);
+    EXPECT_EQ(cmp.significantDeltas, 0)
+        << provenance::formatComparison(cmp);
+    EXPECT_EQ(cmp.flaggedPerf, 0);
 
     // The baseline may also be named by path (trailing slash included).
-    const std::vector<registry::BaselineComparison> by_path =
-        registry::screenBaseline(ws, ws + "/base/", entries);
-    EXPECT_EQ(by_path.size(), 1u);
+    const registry::Cohort by_path =
+        registry::selectCohort(ws, ws + "/base/", entries);
+    EXPECT_EQ(by_path.baseline.name, "base");
+    EXPECT_EQ(by_path.members.size(), 1u);
 
-    EXPECT_THROW(registry::screenBaseline(ws, "absent", entries),
+    EXPECT_THROW(registry::selectCohort(ws, "absent", entries),
+                 FatalError);
+    removeAll(ws);
+}
+
+TEST(Registry, CohortSkipsCorruptRunsAndNeedsAReadableBaseline)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    writeManifest(ws + "/base", "hash-x", 7, 3.5);
+    writeHistory(ws + "/base", {{1.0, 2.0}});
+    ensureDir(ws + "/corrupt");
+    writeFile(ws + "/corrupt/manifest.json", "{ not json ");
+    // Sealed, but its history is gone: indexed, yet not comparable.
+    writeManifest(ws + "/hollow", "hash-x", 7, 3.5);
+
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    const registry::Cohort cohort =
+        registry::selectCohort(ws, "base", entries);
+    ASSERT_EQ(cohort.members.size(), 1u);
+    EXPECT_EQ(cohort.members[0].name, "hollow");
+
+    EXPECT_THROW(registry::selectCohort(ws, "hollow", entries),
+                 FatalError);
+    // A corrupt run has no config hash to build a cohort from.
+    EXPECT_THROW(registry::selectCohort(ws, "corrupt", entries),
                  FatalError);
     removeAll(ws);
 }

@@ -16,8 +16,10 @@ whole chain:
   * two same-seed, same-config runs (sealed) plus one provenance-off
     run with a hair-trigger plateau rule (unsealed) — `gest runs`
     must index all three with the right statuses;
-  * the same-seed cohort must screen clean (`--baseline` exit 0, zero
-    regression flags: identical trajectories give permutation p = 1);
+  * the same-seed cohort must compare clean: `--baseline --json` is
+    the `gest compare` document (cohort exactly run_b, zero result
+    deltas, digests compared, zero flagged perf regressions, exit 0),
+    byte for byte what `gest compare --json` prints for the same paths;
   * the induced plateau must raise exactly one alert, visible in all
     four places: alerts.csv, /alerts while live, an `event: alert` SSE
     frame, and the `gest top --fleet` pane;
@@ -312,19 +314,37 @@ def drive(gest):
                 indexed["run_b"]["config_hash"]:
             fail("same-config runs got different config hashes")
 
-        # Same-seed cohort screening: p = 1, no flags, exit 0.
-        screening = json.loads(run_gest(
+        # Same-seed cohort comparison: `gest compare` over the cohort,
+        # no result delta, no perf flag, exit 0.
+        screening_text = run_gest(
             gest, ["runs", workspace, "--baseline", "run_a", "--json",
-                   "--quiet"], scratch, "gest runs --baseline").stdout)
-        if len(screening) != 1 or screening[0]["candidate"] != "run_b":
+                   "--quiet"], scratch, "gest runs --baseline").stdout
+        screening = json.loads(screening_text)
+        if not isinstance(screening, dict) or \
+                screening.get("gest_compare_version") != 1:
+            fail(f"--baseline --json is not the gest compare schema: "
+                 f"{screening!r}")
+        comparisons = screening.get("comparisons")
+        member = os.path.join(workspace, "run_b")
+        if not isinstance(comparisons, list) or len(comparisons) != 1 \
+                or comparisons[0].get("candidate") != member:
             fail(f"cohort should be exactly run_b: {screening!r}")
-        if screening[0]["fitness_regression"] or \
-                not screening[0]["same_seed"]:
-            fail(f"same-seed twin flagged as regression: "
-                 f"{screening[0]!r}")
-        if screening[0]["fitness_p"] != 1.0:
-            fail(f"identical trajectories must give p = 1: "
-                 f"{screening[0]!r}")
+        if comparisons[0].get("significant_deltas") != 0:
+            fail(f"same-seed twin reports result deltas: "
+                 f"{comparisons[0]!r}")
+        if comparisons[0].get("digests_compared") is not True:
+            fail(f"same-seed twins' digest ledgers were not compared: "
+                 f"{comparisons[0]!r}")
+        if comparisons[0].get("flagged_perf_regressions") != 0:
+            fail(f"same-seed twin flagged as a perf regression: "
+                 f"{comparisons[0]!r}")
+        compare_text = run_gest(
+            gest, ["compare", os.path.join(workspace, "run_a"), member,
+                   "--json", "--quiet"], scratch, "gest compare").stdout
+        if screening_text != compare_text:
+            fail("gest runs --baseline --json differs from gest compare "
+                 f"--json over the same paths:\n{screening_text}\n"
+                 f"---\n{compare_text}")
 
         # The sealed index on disk validates, and the alert is counted.
         runs, alerts = validate_workspace(workspace)
@@ -342,7 +362,7 @@ def drive(gest):
             fail(f"fleet pane does not count the alert:\n{pane}")
 
         print("check_fleet: OK: 3-run workspace indexed, cohort "
-              "screened clean, plateau alert visible in alerts.csv, "
+              "compared clean, plateau alert visible in alerts.csv, "
               "/alerts, SSE and the fleet pane")
         checklib.keep_scratch(None)
 

@@ -14,7 +14,7 @@
  *   gest stats <run_dir>       per-generation statistics of a saved run
  *   gest fittest <run_dir>     print the fittest individual's source
  *   gest runs <workspace>      index every run in a workspace and
- *                              screen cross-run regressions
+ *                              compare a baseline with its cohort
  *   gest platforms             list the bundled platform presets
  *   gest classes               list measurement and fitness classes
  *
@@ -44,7 +44,6 @@
 #include "fitness/fitness.hh"
 #include "isa/standard_libs.hh"
 #include "measure/measurement.hh"
-#include "native/native_measurement.hh"
 #include "output/report.hh"
 #include "output/stats.hh"
 #include "output/top.hh"
@@ -87,7 +86,7 @@ usage()
         "  gest top <url|run_dir>       live dashboard of a run "
         "(telemetry server or files)\n"
         "  gest runs <workspace>        index every run in a "
-        "workspace; screen regressions\n"
+        "workspace; compare a baseline's cohort\n"
         "  gest verify <run_dir>        replay a sealed run against "
         "its manifest\n"
         "  gest compare <baseline> <candidate> [...]\n"
@@ -111,8 +110,9 @@ usage()
         "multi-run view)\n"
         "options for runs: --filter k=v (narrow the view; repeatable; "
         "prefix match)\n"
-        "                  --baseline <run> (screen the baseline's "
-        "config-hash cohort; exit 1 on regression)\n"
+        "                  --baseline <run> (gest compare the "
+        "baseline against its config-hash cohort;\n"
+        "                  exit 1 on a result delta)\n"
         "                  --json (machine-readable output)\n"
         "options for report: --json (machine-readable output)\n"
         "options for verify: --quick (manifest + checksums only, no "
@@ -287,16 +287,9 @@ cmdProbe(const std::string& config_path, const std::string& target,
          const char* out_override)
 {
     config::RunConfig cfg = config::loadConfig(config_path);
-    config::registerBuiltins();
-    native::registerNativeMeasurements();
-
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
+    const config::Evaluators evaluators = config::buildEvaluators(cfg);
+    measure::Measurement& measurement = *evaluators.measurement;
+    fitness::Fitness& fit = *evaluators.fitness;
 
     int generation = -1;
     core::Individual ind =
@@ -307,9 +300,9 @@ cmdProbe(const std::string& config_path, const std::string& target,
 
     signal::SignalProbe probe;
     ind.measurements =
-        measurement->measureWithProbe(ind.code, &probe).values;
+        measurement.measureWithProbe(ind.code, &probe).values;
     ind.evaluated = true;
-    ind.fitness = fit->getFitness(ind, cfg.library);
+    ind.fitness = fit.getFitness(ind, cfg.library);
 
     const std::string out_dir =
         out_override ? std::string(out_override) : target + "/probe";
@@ -323,8 +316,8 @@ cmdProbe(const std::string& config_path, const std::string& target,
                     ? (", generation " + std::to_string(generation))
                           .c_str()
                     : "",
-                ind.fitness, fit->name().c_str());
-    const std::vector<std::string> names = measurement->valueNames();
+                ind.fitness, fit.name().c_str());
+    const std::vector<std::string> names = measurement.valueNames();
     for (std::size_t i = 0; i < ind.measurements.size(); ++i)
         std::printf("%-24s %.9g\n",
                     i < names.size() ? names[i].c_str() : "value",
@@ -343,16 +336,9 @@ cmdAttribute(const std::string& config_path, const std::string& target,
              const char* out_override, const char* top_arg)
 {
     config::RunConfig cfg = config::loadConfig(config_path);
-    config::registerBuiltins();
-    native::registerNativeMeasurements();
-
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
+    const config::Evaluators evaluators = config::buildEvaluators(cfg);
+    measure::Measurement& measurement = *evaluators.measurement;
+    fitness::Fitness& fit = *evaluators.fitness;
 
     int generation = -1;
     core::Individual ind =
@@ -366,8 +352,8 @@ cmdAttribute(const std::string& config_path, const std::string& target,
            " genes) with measurement ", cfg.measurementClass);
 
     attribution::AttributionResult result =
-        attribution::computeAttribution(cfg.library, *measurement,
-                                        *fit, ind, options);
+        attribution::computeAttribution(cfg.library, measurement, fit,
+                                        ind, options);
     result.generation = generation;
 
     // Default beside, never inside, the sealed attribution/ directory:
@@ -386,7 +372,7 @@ cmdAttribute(const std::string& config_path, const std::string& target,
                           .c_str()
                     : "",
                 result.baselineFitness, cfg.measurementClass.c_str(),
-                fit->name().c_str());
+                fit.name().c_str());
     std::printf("filler: %s (%s); %llu evaluations for %zu genes\n",
                 result.fillerInstruction.c_str(),
                 result.fillerIsNop ? "nop" : "same-class",
@@ -614,7 +600,9 @@ cmdRuns(const std::string& workspace,
         registry::scanWorkspace(workspace);
     const std::string csv_path =
         registry::writeRegistry(workspace, all);
-    inform("registry written to ", csv_path);
+    // --json output is the JSON document alone.
+    if (!json)
+        inform("registry written to ", csv_path);
 
     // Filters narrow the printed view only; the sealed registry always
     // indexes the whole workspace.
@@ -636,17 +624,34 @@ cmdRuns(const std::string& workspace,
     }
 
     if (baseline) {
-        const std::vector<registry::BaselineComparison> rows =
-            registry::screenBaseline(workspace, baseline, all);
-        if (json)
-            std::printf("%s",
-                        registry::formatBaselineJson(rows).c_str());
-        else
-            std::printf("%s%s",
-                        registry::formatRunsTable(view).c_str(),
-                        registry::formatBaselineTable(rows).c_str());
-        for (const registry::BaselineComparison& row : rows)
-            if (row.fitnessRegression)
+        const registry::Cohort cohort =
+            registry::selectCohort(workspace, baseline, all);
+        std::vector<provenance::RunComparison> comparisons;
+        for (const registry::RunEntry& member : cohort.members) {
+            try {
+                comparisons.push_back(provenance::compareRuns(
+                    cohort.baseline.path, member.path));
+            } catch (const FatalError& err) {
+                warn("cohort member ", member.name,
+                     " not compared: ", err.what());
+            }
+        }
+        if (json) {
+            std::printf("%s", provenance::formatComparisonsJson(
+                                  cohort.baseline.path, comparisons)
+                                  .c_str());
+        } else {
+            std::printf("%s", registry::formatRunsTable(view).c_str());
+            if (cohort.members.empty())
+                std::printf("cohort: no other runs share %s's config "
+                            "hash\n",
+                            cohort.baseline.name.c_str());
+            for (const provenance::RunComparison& cmp : comparisons)
+                std::printf("%s",
+                            provenance::formatComparison(cmp).c_str());
+        }
+        for (const provenance::RunComparison& cmp : comparisons)
+            if (cmp.significantDeltas > 0)
                 return 1;
         return 0;
     }
@@ -675,8 +680,9 @@ cmdCompare(const std::vector<std::string>& dirs, bool json)
     for (std::size_t i = 1; i < dirs.size(); ++i)
         comparisons.push_back(provenance::compareRuns(dirs[0], dirs[i]));
     if (json) {
-        std::printf("%s",
-                    provenance::formatComparisonsJson(comparisons).c_str());
+        std::printf("%s", provenance::formatComparisonsJson(dirs[0],
+                                                            comparisons)
+                              .c_str());
     } else {
         for (const provenance::RunComparison& cmp : comparisons)
             std::printf("%s", provenance::formatComparison(cmp).c_str());
@@ -702,7 +708,6 @@ int
 cmdClasses()
 {
     config::registerBuiltins();
-    native::registerNativeMeasurements();
     std::printf("measurement classes:\n");
     for (const std::string& name :
          measure::MeasurementRegistry::instance().names())
